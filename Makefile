@@ -14,10 +14,11 @@
 #   make bench-graydeg    gray-failure tolerance (leases/fencing/quarantine) microbenchmark
 #   make bench-eventloop  event-loop scale microbenchmark (10k workers / 1M events)
 #   make bench-obs        observability overhead gate + RUN_REPORT.md artifact
+#   make bench-e2e        end-to-end TUNA study benchmark, one short run per workload
 #   make bench-compare    diff fresh BENCH_*.json against benchmarks/baselines
 #   make bench            all figure benchmarks (writes BENCH_*.json)
 
-.PHONY: test test-fast lint lint-det typecheck bench bench-surrogate bench-forest-fit bench-async bench-hetero bench-straggler bench-resilience bench-graydeg bench-eventloop bench-obs bench-compare
+.PHONY: test test-fast lint lint-det typecheck bench bench-surrogate bench-forest-fit bench-async bench-hetero bench-straggler bench-resilience bench-graydeg bench-eventloop bench-obs bench-e2e bench-compare
 
 test:
 	./tools/run_tier1.sh
@@ -60,6 +61,9 @@ bench-eventloop:
 
 bench-obs:
 	./tools/run_obs_bench.sh
+
+bench-e2e:
+	./tools/run_e2e_bench.sh
 
 bench-compare:
 	python tools/bench_compare.py

@@ -13,18 +13,27 @@ The benchmark also re-asserts the homogeneous reduction at reduced scale: a
 multi-group fleet spec whose groups all name one region/SKU must reproduce
 the plain homogeneous cluster's trajectory bit-for-bit under the same seeds.
 
-All times are *simulated* hours — deterministic for a fixed seed, so the
-asserted speedup is exact, not a flaky wall-clock measurement.
+All makespans are *simulated* hours — deterministic for a fixed seed, so
+the asserted speedup is exact, not a flaky wall-clock measurement.
+
+A second, wall-clock gate guards placement's *host* cost: the median time of
+one ``assign`` call (budget 10) on 3-region fleets of 100, 300 and 1,000
+workers, and the log-log slope of that time against fleet size.  Placement
+selects from per-region sorted heads, so the slope must stay near-linear
+(<= 1.2); a full greedy rank of every eligible worker would scale as ~2.
 
 Run directly with::
 
     PYTHONPATH=src python -m pytest benchmarks/test_bench_heterogeneous.py -q -s
 """
 
+import time
+
+import numpy as np
 from bench_artifacts import write_bench_json
 
 from repro.cloud import Cluster, FleetSpec
-from repro.core import ExecutionEngine, TunaSampler, TuningLoop
+from repro.core import ExecutionEngine, MultiFidelityTaskScheduler, TunaSampler, TuningLoop
 from repro.experiments import run_mixed_fleet_study
 from repro.optimizers import RandomSearchOptimizer
 from repro.systems import PostgreSQLSystem
@@ -35,6 +44,12 @@ SEED = 23
 #: FIFO-over-aware makespan ratio the mixed fleet must sustain (measured
 #: 1.13-1.28x across seeds; the run is deterministic at SEED).
 SPEEDUP_TARGET = 1.10
+#: Fleet sizes of the placement-scaling gate, and the assign budget.
+SCALING_FLEETS = (100, 300, 1000)
+SCALING_BUDGET = 10
+SCALING_CALLS = 200
+#: Ceiling on the log-log slope of assign time vs fleet size.
+SCALING_SLOPE_MAX = 1.2
 
 
 def _trajectory(sampler):
@@ -52,6 +67,38 @@ def _run_gate(fleet=None, seed=SEED + 1, max_samples=25):
     sampler = TunaSampler(optimizer, execution, cluster, seed=seed)
     TuningLoop(sampler, max_samples=max_samples, batch_size=1).run()
     return sampler
+
+
+def _scaling_scheduler(n_workers):
+    """A scheduler over a 3-region, 3-SKU fleet of ``n_workers``."""
+    third = n_workers // 3
+    fleet = FleetSpec.of(
+        [
+            ("westus2", "Standard_D16s_v5", third),
+            ("eastus", "Standard_D8s_v5", third),
+            ("centralus", "Standard_D8s_v4", n_workers - 2 * third),
+        ]
+    )
+    return MultiFidelityTaskScheduler(Cluster(seed=SEED, fleet=fleet), seed=SEED)
+
+
+def _assign_ms():
+    """Median host ms of one ``assign`` per fleet size in ``SCALING_FLEETS``.
+
+    Calls on the different fleet sizes are interleaved, so machine-speed
+    drift during the measurement lands on every size alike instead of
+    tilting the slope.
+    """
+    schedulers = [_scaling_scheduler(n) for n in SCALING_FLEETS]
+    config = PostgreSQLSystem().knob_space.default_configuration()
+    times = [[] for _ in SCALING_FLEETS]
+    for _ in range(SCALING_CALLS):
+        for scheduler, samples in zip(schedulers, times):
+            start = time.perf_counter()
+            chosen = scheduler.assign(config, SCALING_BUDGET, [])
+            samples.append(time.perf_counter() - start)
+            scheduler.reserve([vm.vm_id for vm in chosen])  # queues grow, as in a study
+    return [1e3 * float(np.median(samples)) for samples in times]
 
 
 def test_bench_heterogeneous_placement(once):
@@ -72,6 +119,7 @@ def test_bench_heterogeneous_placement(once):
         return {
             "comparison": comparison,
             "reduction_identical": _trajectory(plain) == _trajectory(split),
+            "assign_ms": _assign_ms(),
         }
 
     result = once(run)
@@ -93,6 +141,12 @@ def test_bench_heterogeneous_placement(once):
         f" (target {SPEEDUP_TARGET}x)"
     )
     print(f"  one-SKU fleet reduces to homogeneous path: {result['reduction_identical']}")
+    assign_ms = result["assign_ms"]
+    slope = float(np.polyfit(np.log(SCALING_FLEETS), np.log(assign_ms), 1)[0])
+    print(f"  assign (budget {SCALING_BUDGET}) median host ms by fleet size:")
+    for n_workers, ms in zip(SCALING_FLEETS, assign_ms):
+        print(f"    {n_workers:>5} workers: {ms:7.3f} ms")
+    print(f"  log-log slope: {slope:.2f} (ceiling {SCALING_SLOPE_MAX})")
 
     write_bench_json(
         "heterogeneous",
@@ -106,11 +160,17 @@ def test_bench_heterogeneous_placement(once):
             "samples_per_sku": aware.samples_per_sku,
             "samples_per_region": aware.samples_per_region,
             "reduction_identical": result["reduction_identical"],
+            "assign_ms_1k": assign_ms[-1],
+            "assign_scaling_slope": slope,
+            "assign_scaling_slope_max": SCALING_SLOPE_MAX,
         },
         parameters={
             "seed": SEED,
             "max_samples": MAX_SAMPLES,
             "n_workers": 10,
+            "scaling_fleets": list(SCALING_FLEETS),
+            "scaling_budget": SCALING_BUDGET,
+            "scaling_calls": SCALING_CALLS,
         },
     )
 
@@ -123,4 +183,8 @@ def test_bench_heterogeneous_placement(once):
     assert comparison.makespan_speedup >= SPEEDUP_TARGET, (
         f"heterogeneity-aware placement only {comparison.makespan_speedup:.2f}x "
         f"faster than naive FIFO placement (target {SPEEDUP_TARGET}x)"
+    )
+    assert slope <= SCALING_SLOPE_MAX, (
+        f"assign host time grows as fleet^{slope:.2f} "
+        f"(ceiling {SCALING_SLOPE_MAX}): placement has gone superlinear"
     )

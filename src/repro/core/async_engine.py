@@ -1598,7 +1598,7 @@ class AsyncExecutionEngine:
         """Fastest idle worker the item's configuration has never touched.
 
         With a task scheduler wired in, its (identically-ordered)
-        ``rank_speculative`` keeps the pick pluggable; otherwise the loop's
+        ``pick_speculative`` keeps the pick pluggable; otherwise the loop's
         per-group idle heaps answer it in O(log n) without a fleet scan.
         """
         config = item.request.config
@@ -1611,7 +1611,7 @@ class AsyncExecutionEngine:
             ]
             if not candidates:
                 return None
-            return self._scheduler.rank_speculative(candidates)[0]
+            return self._scheduler.pick_speculative(candidates)
         return self.loop.fastest_idle_worker(excluded)
 
     def _submit_clone(self, item: WorkItem, vm: VirtualMachine) -> None:

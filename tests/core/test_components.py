@@ -329,6 +329,28 @@ class TestScheduler:
         with pytest.raises(KeyError):
             scheduler.release(["worker-x"])
 
+    def test_failed_reserve_and_release_change_nothing(self):
+        cluster = Cluster(n_workers=3, seed=0)
+        scheduler = MultiFidelityTaskScheduler(cluster, seed=0)
+        scheduler.reserve(["worker-0", "worker-1"])
+
+        def state():
+            return scheduler.n_reserved(), dict(scheduler._reserved)
+
+        before = state()
+        with pytest.raises(KeyError):
+            scheduler.reserve(["worker-0", "bogus"])
+        assert state() == before
+        with pytest.raises(KeyError):
+            scheduler.release(["worker-0", "bogus"])
+        assert state() == before
+        with pytest.raises(RuntimeError):
+            scheduler.release(["worker-0", "worker-2"])  # worker-2 holds none
+        assert state() == before
+        with pytest.raises(RuntimeError):
+            scheduler.release(["worker-1", "worker-1"])  # holds only one
+        assert state() == before
+
     def test_record_external_load(self):
         cluster = Cluster(n_workers=2, seed=0)
         scheduler = MultiFidelityTaskScheduler(cluster, seed=0)

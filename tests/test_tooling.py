@@ -240,3 +240,29 @@ def test_event_log_replay_fails_loudly_on_damage(tmp_path):
         EventLog.replay(corrupted)
     assert excinfo.value.line == 2
     assert ":2:" in str(excinfo.value)
+
+
+def test_e2e_bench_is_wired_into_make_and_ci():
+    """`make bench-e2e` runs the end-to-end harness once per declared
+    workload (seed 1, 10 s, untraced), and CI runs it in the bench job so
+    a failed correctness check (exit 1) fails the job."""
+    import json
+
+    with open(os.path.join(REPO_ROOT, "Makefile")) as fh:
+        makefile = fh.read()
+    assert re.search(r"^bench-e2e:", makefile, re.MULTILINE)
+    assert "make bench-e2e" in makefile  # help header documents the target
+    script_path = os.path.join(TOOLS_DIR, "run_e2e_bench.sh")
+    with open(script_path) as fh:
+        script = fh.read()
+    assert "e2ebench/run.py" in script
+    assert "--seed 1 --seconds 10 --trace 0" in script
+    with open(os.path.join(REPO_ROOT, "BENCHMARK.json")) as fh:
+        workloads = [w["name"] for w in json.load(fh)["workloads"]]
+    for workload in workloads:
+        assert workload in script, f"bench-e2e must run workload {workload!r}"
+
+    with open(os.path.join(REPO_ROOT, ".github", "workflows", "ci.yml")) as fh:
+        ci = fh.read()
+    bench_job = ci[ci.index("\n  bench:"):]
+    assert "run: make bench-e2e" in bench_job, "the CI bench job must run bench-e2e"

@@ -49,6 +49,8 @@ GUARDED = {
     "BENCH_HETEROGENEOUS.json": {
         "makespan_speedup": "ratio",
         "reduction_identical": "flag",
+        "assign_ms_1k": "ceiling",
+        "assign_scaling_slope": "ceiling",
     },
     "BENCH_STRAGGLER.json": {
         "geomean_speedup": "ratio",
