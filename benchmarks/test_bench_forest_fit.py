@@ -9,6 +9,13 @@ path — surrogate fit, candidate generation, batched prediction, EI — must
 stay inside an absolute latency budget so a regression in any stage fails CI
 even if the others got faster.
 
+Two study-shaped fits are timed as well: the noise adjuster's 30x525 matrix
+(25 telemetry columns plus a 500-worker one-hot, ``min_samples_leaf=2``),
+whose speedup over the pointer reference is recorded as ``wide_speedup``,
+and a 60x21 SMAC surrogate refit.  Every shape's tracemalloc peak during
+one fit (``fit_peak_mb``) is deterministic for fixed inputs and is
+recorded, so the builder's scratch memory is tracked alongside its speed.
+
 The two fits are bit-for-bit equivalent (asserted here on the emitted node
 tables, and exhaustively in ``tests/ml/test_fit_equivalence.py``), so the
 speedup compares identical work.
@@ -19,12 +26,14 @@ Run directly with::
 """
 
 import time
+import tracemalloc
 
 import numpy as np
 from bench_artifacts import write_bench_json
 
 from repro.configspace import ConfigurationSpace, FloatParameter
 from repro.ml.forest import RandomForestRegressor
+from repro.ml.preprocessing import OneHotEncoder, StandardScaler
 from repro.optimizers import SMACOptimizer
 
 N_TREES = 24
@@ -50,32 +59,99 @@ def _forest(seed=0):
     )
 
 
+def _noise_forest(seed=0):
+    """The noise adjuster's forest (see ``repro.core.noise_adjuster``)."""
+    return RandomForestRegressor(n_estimators=N_TREES, min_samples_leaf=2, seed=seed)
+
+
+def _smac_problem(n, d):
+    rng = np.random.default_rng(0)
+    X = rng.random((n, d))
+    y = 3.0 * X[:, 0] - 2.0 * X[:, 3] ** 2 + rng.normal(0.0, 0.3, n)
+    return X, y
+
+
+def _noise_problem(n=30, n_workers=500):
+    """Standardised telemetry plus a worker one-hot, as the noise adjuster fits."""
+    rng = np.random.default_rng(1)
+    telemetry = rng.normal(size=(n, 25))
+    workers = [f"worker-{i}" for i in range(n_workers)]
+    encoder = OneHotEncoder(categories=workers).fit([])
+    one_hot = np.stack(
+        [encoder.transform_one(workers[i]) for i in rng.integers(0, n_workers, size=n)]
+    )
+    X = StandardScaler().fit_transform(np.hstack([telemetry, one_hot]))
+    y = 0.05 * rng.normal(size=n) + 0.02 * telemetry[:, 0]
+    return X, y
+
+
+#: shape name -> (forest factory, problem factory)
+FIT_SHAPES = {
+    "n1000_d12": (_forest, lambda: _smac_problem(N_TRAIN, N_FEATURES)),
+    "n30_d525": (_noise_forest, _noise_problem),
+    "n60_d21": (_forest, lambda: _smac_problem(60, 21)),
+}
+
+
+def _fit_peak_mb(make_forest, X, y):
+    """tracemalloc peak (MiB) of one fit — deterministic for fixed inputs."""
+    forest = make_forest(seed=0)
+    tracemalloc.start()
+    try:
+        forest.fit(X, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / 2**20
+
+
+def _assert_same_trees(fast, ref):
+    for tree_a, tree_b in zip(fast.trees_, ref.trees_):
+        assert np.array_equal(tree_a.flat.value, tree_b.flat.value)
+        assert np.array_equal(tree_a.flat.left, tree_b.flat.left)
+
+
 def _best_of(fn, repeats):
+    """Fastest of ``repeats`` calls, and the last call's result."""
     best = np.inf
     for _ in range(repeats):
         t0 = time.perf_counter()
-        fn()
+        result = fn()
         best = min(best, time.perf_counter() - t0)
-    return best
+    return best, result
 
 
 def test_bench_forest_fit(once):
     def run():
-        rng = np.random.default_rng(0)
-        X = rng.random((N_TRAIN, N_FEATURES))
-        y = 3.0 * X[:, 0] - 2.0 * X[:, 3] ** 2 + rng.normal(0.0, 0.3, N_TRAIN)
-        vectorized = _best_of(lambda: _forest(seed=0).fit(X, y), repeats=3)
-        pointer = _best_of(lambda: _forest(seed=0).fit_pointer(X, y), repeats=2)
-        # The ratio only means something if both paths build the same trees.
-        fast = _forest(seed=0).fit(X, y)
-        ref = _forest(seed=0).fit_pointer(X, y)
-        for tree_a, tree_b in zip(fast.trees_, ref.trees_):
-            assert np.array_equal(tree_a.flat.value, tree_b.flat.value)
-            assert np.array_equal(tree_a.flat.left, tree_b.flat.left)
+        X, y = _smac_problem(N_TRAIN, N_FEATURES)
+        vectorized, fast = _best_of(lambda: _forest(seed=0).fit(X, y), repeats=3)
+        pointer, ref = _best_of(lambda: _forest(seed=0).fit_pointer(X, y), repeats=2)
+        # The ratios only mean something if both paths build the same trees.
+        _assert_same_trees(fast, ref)
+
+        X_wide, y_wide = _noise_problem()
+        wide, fast = _best_of(lambda: _noise_forest(seed=0).fit(X_wide, y_wide), repeats=5)
+        wide_pointer, ref = _best_of(
+            lambda: _noise_forest(seed=0).fit_pointer(X_wide, y_wide), repeats=1
+        )
+        _assert_same_trees(fast, ref)
+
+        X_small, y_small = _smac_problem(60, 21)
+        small, _ = _best_of(lambda: _forest(seed=0).fit(X_small, y_small), repeats=10)
+
+        peaks = {
+            name: _fit_peak_mb(make_forest, *make_problem())
+            for name, (make_forest, make_problem) in FIT_SHAPES.items()
+        }
         return {
             "vectorized_seconds": vectorized,
             "pointer_seconds": pointer,
             "speedup": pointer / vectorized,
+            "wide_seconds": wide,
+            "wide_pointer_seconds": wide_pointer,
+            "wide_speedup": wide_pointer / wide,
+            "smac_60x21_seconds": small,
+            "fit_peak_mb": peaks,
         }
 
     result = once(run)
@@ -84,6 +160,13 @@ def test_bench_forest_fit(once):
     print(f"  pointer reference fit: {result['pointer_seconds'] * 1e3:8.1f} ms")
     print(f"  vectorized fit:        {result['vectorized_seconds'] * 1e3:8.1f} ms")
     print(f"  speedup:               {result['speedup']:8.1f}x")
+    print(f"Noise-adjuster fit ({N_TREES} trees, 30x525 one-hot, leaf 2)")
+    print(f"  pointer reference fit: {result['wide_pointer_seconds'] * 1e3:8.1f} ms")
+    print(f"  vectorized fit:        {result['wide_seconds'] * 1e3:8.1f} ms")
+    print(f"  wide speedup:          {result['wide_speedup']:8.1f}x")
+    print(f"SMAC refit ({N_TREES} trees, 60x21): {result['smac_60x21_seconds'] * 1e3:.1f} ms")
+    for name, peak in result["fit_peak_mb"].items():
+        print(f"  fit peak {name:10s} {peak:6.2f} MiB")
 
     write_bench_json(
         "forest_fit",
@@ -92,11 +175,17 @@ def test_bench_forest_fit(once):
             "speedup_target": SPEEDUP_TARGET,
             "vectorized_seconds": result["vectorized_seconds"],
             "pointer_seconds": result["pointer_seconds"],
+            "wide_speedup": result["wide_speedup"],
+            "wide_seconds": result["wide_seconds"],
+            "wide_pointer_seconds": result["wide_pointer_seconds"],
+            "smac_60x21_seconds": result["smac_60x21_seconds"],
+            "fit_peak_mb": result["fit_peak_mb"],
         },
         parameters={
             "n_trees": N_TREES,
             "n_train": N_TRAIN,
             "n_features": N_FEATURES,
+            "fit_shapes": sorted(FIT_SHAPES),
         },
     )
 
@@ -122,8 +211,8 @@ def test_bench_ask_latency(once):
             opt._surrogate_cache.invalidate()
             opt.ask()
 
-        cold = _best_of(cold_ask, repeats=3)
-        warm = _best_of(opt.ask, repeats=5)
+        cold, _ = _best_of(cold_ask, repeats=3)
+        warm, _ = _best_of(opt.ask, repeats=5)
         return {"cold_ask_seconds": cold, "warm_ask_seconds": warm}
 
     result = once(run)

@@ -40,7 +40,7 @@ CEILING_FACTOR = 4.0  # lower-is-better metrics may not exceed 4x baseline
 #: (raw seconds, sample counts, provenance) are informational only.
 GUARDED = {
     "BENCH_SURROGATE.json": {"speedup": "ratio"},
-    "BENCH_FOREST_FIT.json": {"speedup": "ratio"},
+    "BENCH_FOREST_FIT.json": {"speedup": "ratio", "wide_speedup": "ratio"},
     "BENCH_ASK_LATENCY.json": {
         "cold_ask_seconds": "ceiling",
         "warm_ask_seconds": "ceiling",

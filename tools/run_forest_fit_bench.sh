@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Forest-training microbenchmark smoke run: asserts the vectorized
 # all-trees-at-once builder stays >= 5x faster than the per-node pointer
-# reference at n=1000 (24 trees), holds SMACOptimizer.ask() to its
+# reference at n=1000 (24 trees), records the noise adjuster's 30x525 one-hot
+# fit speedup and per-shape fit memory peaks, holds SMACOptimizer.ask() to its
 # end-to-end latency budget, and writes BENCH_FOREST_FIT.json +
 # BENCH_ASK_LATENCY.json for CI archiving.
 set -euo pipefail
