@@ -14,12 +14,16 @@ Training layout
 ``fit`` trains **all trees at once**: bootstrap resampling is expressed as
 per-tree integer sample-weight vectors over the shared training matrix, and
 the level-synchronous builder in :mod:`repro.ml.treebuilder` grows every
-tree's frontier together — one stable argsort per feature for the whole
-forest, one weighted cumulative-sum pass per (level, feature) to score every
-(tree, node) split candidate, flat node tables emitted directly.  The
-per-tree, per-node reference build survives as ``fit_pointer`` and is
-bit-for-bit equivalent for the same seed (same forest-RNG draw order for
-tree seeds and bootstrap counts, same per-tree feature-subsampling streams).
+tree's frontier together — one stable argsort per non-constant feature for
+the whole forest, features packed into size-bounded blocks, and one
+segmented weighted cumulative-sum scan plus one stable partition per
+(level, feature block) to score and split every (tree, node, feature)
+candidate, flat node tables emitted directly.  Columns constant over the
+training matrix (e.g. the noise adjuster's one-hot columns of workers absent
+from the data) are never scanned.  The per-tree, per-node reference build
+survives as ``fit_pointer`` and is bit-for-bit equivalent for the same seed
+(same forest-RNG draw order for tree seeds and bootstrap counts, same
+per-tree feature-subsampling streams).
 
 Inference layout
 ----------------
@@ -41,7 +45,11 @@ from typing import Optional
 
 import numpy as np
 
-from repro.ml.tree import DecisionTreeRegressor, resolve_split_feature_count
+from repro.ml.tree import (
+    DecisionTreeRegressor,
+    check_max_features,
+    resolve_split_feature_count,
+)
 from repro.ml.treebuilder import build_forest_flat
 
 
@@ -129,9 +137,10 @@ class RandomForestRegressor:
     max_depth, min_samples_split, min_samples_leaf:
         Passed through to each tree.
     max_features:
-        Features considered per split.  The default of 5/6 follows SMAC's
-        random-forest configuration, which works well for small tabular
-        configuration spaces.
+        Features considered per split: ``None``, a float in (0, 1] or an
+        int >= 1 (see :class:`~repro.ml.tree.DecisionTreeRegressor`).  The
+        default of 5/6 follows SMAC's random-forest configuration, which
+        works well for small tabular configuration spaces.
     bootstrap:
         Whether each tree sees a bootstrap resample of the data.
     seed:
@@ -150,6 +159,7 @@ class RandomForestRegressor:
     ) -> None:
         if n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
+        check_max_features(max_features)
         self.n_estimators = n_estimators
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split

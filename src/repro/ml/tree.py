@@ -11,10 +11,10 @@ Training layout
 ---------------
 ``fit`` no longer recurses over pointer nodes: it delegates to the
 level-synchronous builder in :mod:`repro.ml.treebuilder`, which presorts each
-feature column once, grows a breadth-first frontier, and scores the best
-variance-reduction split of every node at the current depth in one weighted
-cumulative-sum pass per feature — emitting the flat node table below
-directly.  The per-node reference build survives as ``fit_pointer``: a
+non-constant feature column once, grows a breadth-first frontier, and scores
+the best variance-reduction split of every node at the current depth in one
+weighted cumulative-sum scan per block of features — emitting the flat node
+table below directly.  The per-node reference build survives as ``fit_pointer``: a
 level-ordered queue over :class:`_Node` objects that sorts every candidate
 feature at every node, compiled to arrays by :func:`_compile_tree`.  Both
 paths share the *same* canonical arithmetic (sequential weighted cumsums,
@@ -152,6 +152,28 @@ def _compile_tree(root: _Node) -> FlatTree:
 # --------------------------------------------------------------------------
 
 
+def check_max_features(max_features) -> None:
+    """Reject ``max_features`` values the split search cannot honour.
+
+    Valid settings are ``None`` (all features), a float in ``(0, 1]`` (a
+    fraction of the features) or an int ``>= 1`` (a count, capped at the
+    number of features).
+    """
+    if max_features is None:
+        return
+    is_int = isinstance(max_features, (int, np.integer)) and not isinstance(
+        max_features, bool
+    )
+    if is_int and max_features >= 1:
+        return
+    if isinstance(max_features, float) and 0.0 < max_features <= 1.0:
+        return
+    raise ValueError(
+        "max_features must be None, a float in (0, 1] or an int >= 1, "
+        f"got {max_features!r}"
+    )
+
+
 def resolve_split_feature_count(max_features, n_features: int) -> int:
     """Number of candidate features examined per split."""
     if max_features is None:
@@ -255,7 +277,9 @@ class DecisionTreeRegressor:
         Minimum (weighted) number of samples that must end up in each child.
     max_features:
         Number of candidate features examined per split.  ``None`` uses all
-        features, a float in (0, 1] uses that fraction, an int uses that count.
+        features, a float in (0, 1] uses that fraction, an int >= 1 uses that
+        count (capped at the number of features).  Anything else raises
+        ``ValueError``.
     seed:
         Seed for the feature-subsampling RNG.
     """
@@ -272,6 +296,7 @@ class DecisionTreeRegressor:
             raise ValueError("min_samples_split must be >= 2")
         if min_samples_leaf < 1:
             raise ValueError("min_samples_leaf must be >= 1")
+        check_max_features(max_features)
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
         self.min_samples_leaf = min_samples_leaf

@@ -7,13 +7,18 @@ consumption order for feature subsampling, the same sequential weighted
 cumulative sums, the same tie-breaking.  These tests pin that contract at
 full strength — *exact* equality of the emitted flat node tables and of
 every prediction, across seeds, ``max_features`` settings, duplicate rows,
-constant targets, and bootstrap sample weights.
+constant targets and columns, bootstrap sample weights, noise-adjuster-shaped
+wide one-hot matrices, and the builder's feature-block and scan-chunk
+splits at their smallest sizes.
 """
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+import repro.ml.treebuilder as treebuilder
 from repro.ml.forest import RandomForestRegressor
+from repro.ml.preprocessing import OneHotEncoder, StandardScaler
 from repro.ml.tree import DecisionTreeRegressor
 
 FLAT_FIELDS = ("feature", "threshold", "left", "right", "value", "variance", "n_samples")
@@ -155,3 +160,166 @@ class TestForestFitEquivalence:
         fast = RandomForestRegressor(n_estimators=5, seed=11).fit(X, y)
         ref = RandomForestRegressor(n_estimators=5, seed=11).fit_pointer(X, y)
         assert fast._rng.integers(0, 2**31 - 1) == ref._rng.integers(0, 2**31 - 1)
+
+
+def _noise_adjuster_problem(seed, n, n_workers):
+    """Telemetry plus a worker one-hot, standardised like ``NoiseAdjuster``.
+
+    Most one-hot columns are all-zero (constant) in a small sample, which is
+    the case the builder skips.
+    """
+    rng = np.random.default_rng(seed)
+    telemetry = rng.normal(size=(n, 25))
+    telemetry[:, 3] = 4.0  # a constant telemetry channel
+    telemetry[:, 7] = np.round(telemetry[:, 7])  # heavy ties
+    workers = [f"w{i}" for i in range(n_workers)]
+    encoder = OneHotEncoder(categories=workers).fit([])
+    who = rng.integers(0, n_workers, size=n)
+    one_hot = np.stack([encoder.transform_one(workers[i]) for i in who])
+    X = StandardScaler().fit_transform(np.hstack([telemetry, one_hot]))
+    y = 0.05 * rng.normal(size=n) + 0.02 * telemetry[:, 0]
+    return X, y
+
+
+def assert_forests_equal(fast, ref, X):
+    assert len(fast.trees_) == len(ref.trees_)
+    for tree_a, tree_b in zip(fast.trees_, ref.trees_):
+        assert_flat_equal(tree_a.flat, tree_b.flat)
+    mean_a, std_a = fast.predict_mean_std(X)
+    mean_b, std_b = ref.predict_mean_std(X)
+    assert np.array_equal(mean_a, mean_b)
+    assert np.array_equal(std_a, std_b)
+    assert fast._rng.integers(0, 2**31 - 1) == ref._rng.integers(0, 2**31 - 1)
+
+
+class TestWideFitEquivalence:
+    """Noise-adjuster-shaped fits: 25 telemetry columns plus a worker one-hot."""
+
+    @pytest.mark.parametrize(
+        "seed,n,n_workers,n_trees", [(0, 30, 500, 4), (1, 90, 10, 12), (2, 30, 10, 8)]
+    )
+    def test_one_hot_forest_bit_for_bit(self, seed, n, n_workers, n_trees):
+        X, y = _noise_adjuster_problem(seed, n, n_workers)
+        kwargs = dict(n_estimators=n_trees, min_samples_leaf=2, seed=seed + 7)
+        fast = RandomForestRegressor(**kwargs).fit(X, y)
+        ref = RandomForestRegressor(**kwargs).fit_pointer(X, y)
+        assert_forests_equal(fast, ref, X)
+
+    def test_all_columns_constant(self):
+        """No column can split: one leaf per tree, RNG still consumed."""
+        X = np.ones((20, 6))
+        y = np.arange(20, dtype=float)
+        fast = DecisionTreeRegressor(max_features=0.5, seed=4).fit(X, y)
+        ref = DecisionTreeRegressor(max_features=0.5, seed=4).fit_pointer(X, y)
+        assert_flat_equal(fast.flat, ref.flat)
+        assert fast.n_leaves == 1
+        assert fast._rng.integers(0, 2**31 - 1) == ref._rng.integers(0, 2**31 - 1)
+
+
+@st.composite
+def _fit_problems(draw):
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 9))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    levels = draw(st.sampled_from([2, 3, 5, 1000]))  # small counts force ties
+    X = np.floor(rng.random((n, d)) * levels) / levels
+    for col in draw(st.lists(st.integers(0, d - 1), max_size=d)):
+        X[:, col] = draw(st.sampled_from([0.0, -1.5, 3.0]))
+    if n > 2 and draw(st.booleans()):
+        X[n // 2 :] = X[: n - n // 2]  # duplicate rows
+    y = np.round(rng.normal(size=n) * draw(st.sampled_from([1.0, 4.0]))) / 2.0
+    max_features = draw(st.sampled_from([None, 0.5, 5.0 / 6.0, 1, 2]))
+    min_leaf = draw(st.integers(1, 3))
+    return X, y, seed, max_features, min_leaf
+
+
+class TestFitEquivalenceProperty:
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(_fit_problems())
+    def test_random_problems_bit_for_bit(self, problem):
+        X, y, seed, max_features, min_leaf = problem
+        tree_kwargs = dict(
+            max_features=max_features, min_samples_leaf=min_leaf, seed=seed
+        )
+        w = np.random.default_rng(seed + 1).integers(0, 3, size=len(y)).astype(float)
+        w[0] = 1.0
+        fast = DecisionTreeRegressor(**tree_kwargs).fit(X, y, sample_weight=w)
+        ref = DecisionTreeRegressor(**tree_kwargs).fit_pointer(X, y, sample_weight=w)
+        assert_flat_equal(fast.flat, ref.flat)
+        forest_kwargs = dict(
+            n_estimators=3, max_features=max_features, min_samples_leaf=min_leaf, seed=seed
+        )
+        fast = RandomForestRegressor(**forest_kwargs).fit(X, y)
+        ref = RandomForestRegressor(**forest_kwargs).fit_pointer(X, y)
+        assert_forests_equal(fast, ref, X)
+
+
+class TestTinyScratchBudgets:
+    """The block and chunk splits must not change a single bit of the trees."""
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        """Record each scanned block's feature count and chunk count."""
+        calls = []
+        scan_block = treebuilder._scan_block
+        score_chunk = treebuilder._score_chunk
+
+        def counting_scan(features, *args):
+            calls.append([features.size, 0])
+            scan_block(features, *args)
+
+        def counting_chunk(*args):
+            calls[-1][1] += 1
+            score_chunk(*args)
+
+        monkeypatch.setattr(treebuilder, "_scan_block", counting_scan)
+        monkeypatch.setattr(treebuilder, "_score_chunk", counting_chunk)
+        return calls
+
+    @pytest.mark.parametrize(
+        "block_entries,scan_cells,path",
+        [
+            (1, 1, "one-feature blocks"),
+            (1000, 1, "multi-feature blocks, multi-chunk scans"),
+            (1 << 30, 1, "one block, multi-chunk scans"),
+            (1000, 1 << 30, "multi-feature blocks, one chunk"),
+        ],
+    )
+    @pytest.mark.parametrize("shape", ["smac", "one-hot"])
+    def test_bit_for_bit_at_tiny_budgets(
+        self, monkeypatch, spy, block_entries, scan_cells, path, shape
+    ):
+        monkeypatch.setattr(treebuilder, "BLOCK_ENTRIES", block_entries)
+        monkeypatch.setattr(treebuilder, "SCAN_CELLS", scan_cells)
+        if shape == "smac":
+            X, y = _problem(3, 60, 8, duplicates=True)
+            kwargs = dict(n_estimators=6, min_samples_split=3, seed=5)
+        else:
+            X, y = _noise_adjuster_problem(4, 40, 30)
+            kwargs = dict(n_estimators=6, min_samples_leaf=2, seed=6)
+        fast = RandomForestRegressor(**kwargs).fit(X, y)
+        ref = RandomForestRegressor(**kwargs).fit_pointer(X, y)
+        assert_forests_equal(fast, ref, X)
+
+        features = [n_features for n_features, _ in spy]
+        chunks = [n_chunks for _, n_chunks in spy]
+        if path == "one-feature blocks":
+            assert max(features) == 1
+        else:
+            assert max(features) > 1
+        if "multi-chunk" in path:
+            assert max(chunks) > 1
+        else:
+            assert max(chunks) == 1
+
+    def test_chunk_bounds_respect_budget(self):
+        lengths = np.array([2, 2, 3, 5, 5, 9, 40])
+        bounds = treebuilder._chunk_bounds(lengths, 12)
+        assert bounds[0][0] == 0 and bounds[-1][1] == lengths.size
+        for (lo, hi), (next_lo, _) in zip(bounds, bounds[1:]):
+            assert hi == next_lo
+        for lo, hi in bounds:
+            assert hi - lo == 1 or (hi - lo) * lengths[hi - 1] <= 12

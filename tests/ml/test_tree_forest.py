@@ -89,6 +89,22 @@ class TestDecisionTree:
         with pytest.raises(ValueError):
             DecisionTreeRegressor(min_samples_leaf=0)
 
+    @pytest.mark.parametrize("max_features", [1.5, 0, 0.0, -2, -0.5, True, "sqrt"])
+    def test_invalid_max_features_rejected_at_construction(self, max_features):
+        with pytest.raises(ValueError, match="max_features"):
+            DecisionTreeRegressor(max_features=max_features)
+        with pytest.raises(ValueError, match="max_features"):
+            RandomForestRegressor(max_features=max_features)
+
+    @pytest.mark.parametrize("max_features", [None, 1.0, 0.5, 1e-3, 1, 3, 50, np.int64(2)])
+    def test_valid_max_features_accepted(self, max_features):
+        X, y = _make_regression(n=40)
+        tree = DecisionTreeRegressor(max_features=max_features, seed=0).fit(X, y)
+        forest = RandomForestRegressor(
+            n_estimators=3, max_features=max_features, seed=0
+        ).fit(X, y)
+        assert tree.predict(X).shape == forest.predict(X).shape == (40,)
+
     def test_variance_prediction_zero_for_pure_leaves(self):
         X, y = _make_regression(n=50)
         tree = DecisionTreeRegressor(seed=0).fit(X, y)
