@@ -14,13 +14,13 @@ level-synchronous builder in :mod:`repro.ml.treebuilder`, which presorts each
 non-constant feature column once, grows a breadth-first frontier, and scores
 the best variance-reduction split of every node at the current depth in one
 weighted cumulative-sum scan per block of features — emitting the flat node
-table below directly.  The per-node reference build survives as ``fit_pointer``: a
-level-ordered queue over :class:`_Node` objects that sorts every candidate
-feature at every node, compiled to arrays by :func:`_compile_tree`.  Both
-paths share the *same* canonical arithmetic (sequential weighted cumsums,
-level-ordered feature-subsampling draws, first-minimum tie-breaking), so for
-a fixed seed they produce **bit-for-bit identical** node tables — guarded by
-``tests/ml/test_fit_equivalence.py``.
+table below directly.  The per-node reference build survives as
+``fit_pointer``: a level-ordered queue over :class:`_Node` objects that sorts
+every candidate feature at every node, compiled to arrays by
+:func:`_compile_tree`.  Both paths share the *same* canonical arithmetic
+(sequential weighted cumsums, level-ordered feature-subsampling draws,
+first-minimum tie-breaking), so for a fixed seed they produce **bit-for-bit
+identical** node tables — guarded by ``tests/ml/test_fit_equivalence.py``.
 
 Inference layout
 ----------------
