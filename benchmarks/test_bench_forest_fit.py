@@ -7,7 +7,9 @@ forest at n=1000 rows at least ``SPEEDUP_TARGET``x faster than the per-node
 pointer reference (``fit_pointer``), and the end-to-end ``SMACOptimizer.ask()``
 path — surrogate fit, candidate generation, batched prediction, EI — must
 stay inside an absolute latency budget so a regression in any stage fails CI
-even if the others got faster.
+even if the others got faster.  The warm ask is timed on an all-float space
+and on the 21-knob PostgreSQL space (``warm_ask_mixed_seconds``), whose
+integer and boolean knobs the candidate pool handles differently.
 
 Two study-shaped fits are timed as well: the noise adjuster's 30x525 matrix
 (25 telemetry columns plus a 500-worker one-hot, ``min_samples_leaf=2``),
@@ -36,6 +38,7 @@ from repro.configspace import ConfigurationSpace, FloatParameter
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.preprocessing import OneHotEncoder, StandardScaler
 from repro.optimizers import SMACOptimizer
+from repro.systems.postgres.knobs import build_postgres_knob_space
 
 N_TREES = 24
 N_TRAIN = 1000
@@ -217,17 +220,32 @@ def test_bench_forest_fit(once):
         assert peak <= cap, f"{name} fit peaked at {peak:.2f} MiB, over its {cap:.2f} MiB cap"
 
 
+def _warmed_optimizer(space, cost):
+    """SMAC on ``space`` told ``ASK_N_OBSERVATIONS`` noisy random samples,
+    with the initial design consumed so every later ask is modelled."""
+    opt = SMACOptimizer(space, seed=0, n_initial_design=1)
+    rng = np.random.default_rng(1)
+    for config in space.sample_batch(ASK_N_OBSERVATIONS, rng=rng):
+        opt.tell(config, float(cost(config) + rng.normal(0.0, 0.01)))
+    opt.ask()
+    return opt
+
+
+def _postgres_cost(config):
+    cost = (np.log(config["shared_buffers_mb"]) / np.log(16_384) - 0.6) ** 2
+    cost += (config["checkpoint_completion_target"] - 0.7) ** 2
+    cost += 0.05 * (config["max_parallel_workers_per_gather"] - 4) ** 2 / 16
+    return cost + (0.0 if config["synchronous_commit"] else 0.03)
+
+
 def test_bench_ask_latency(once):
     def run():
         space = ConfigurationSpace(
             [FloatParameter(f"x{i}", 0.0, 1.0) for i in range(N_FEATURES)], seed=0
         )
-        opt = SMACOptimizer(space, seed=0, n_initial_design=1)
-        rng = np.random.default_rng(1)
-        for config in space.sample_batch(ASK_N_OBSERVATIONS, rng=rng):
-            cost = (config["x0"] - 0.7) ** 2 + (config["x3"] - 0.2) ** 2
-            opt.tell(config, float(cost + rng.normal(0.0, 0.01)))
-        opt.ask()  # consume the initial design so every timed ask is modelled
+        opt = _warmed_optimizer(
+            space, lambda c: (c["x0"] - 0.7) ** 2 + (c["x3"] - 0.2) ** 2
+        )
 
         def cold_ask():
             opt._surrogate_cache.invalidate()
@@ -235,7 +253,13 @@ def test_bench_ask_latency(once):
 
         cold, _ = _best_of(cold_ask, repeats=3)
         warm, _ = _best_of(opt.ask, repeats=5)
-        return {"cold_ask_seconds": cold, "warm_ask_seconds": warm}
+        mixed = _warmed_optimizer(build_postgres_knob_space(seed=0), _postgres_cost)
+        warm_mixed, _ = _best_of(mixed.ask, repeats=5)
+        return {
+            "cold_ask_seconds": cold,
+            "warm_ask_seconds": warm,
+            "warm_ask_mixed_seconds": warm_mixed,
+        }
 
     result = once(run)
 
@@ -248,6 +272,10 @@ def test_bench_ask_latency(once):
         f"  warm (cached surrogate):        {result['warm_ask_seconds'] * 1e3:8.1f} ms"
         f"  (budget {ASK_WARM_BUDGET_SECONDS * 1e3:.0f} ms)"
     )
+    print(
+        f"  warm, 21-knob postgres space:   {result['warm_ask_mixed_seconds'] * 1e3:8.1f} ms"
+        f"  (budget {ASK_WARM_BUDGET_SECONDS * 1e3:.0f} ms)"
+    )
 
     write_bench_json(
         "ask_latency",
@@ -255,14 +283,17 @@ def test_bench_ask_latency(once):
             "cold_ask_seconds": result["cold_ask_seconds"],
             "cold_budget_seconds": ASK_COLD_BUDGET_SECONDS,
             "warm_ask_seconds": result["warm_ask_seconds"],
+            "warm_ask_mixed_seconds": result["warm_ask_mixed_seconds"],
             "warm_budget_seconds": ASK_WARM_BUDGET_SECONDS,
         },
         parameters={
             "n_observations": ASK_N_OBSERVATIONS,
             "n_features": N_FEATURES,
             "n_trees": N_TREES,
+            "mixed_space": "postgres",
         },
     )
 
     assert result["cold_ask_seconds"] <= ASK_COLD_BUDGET_SECONDS
     assert result["warm_ask_seconds"] <= ASK_WARM_BUDGET_SECONDS
+    assert result["warm_ask_mixed_seconds"] <= ASK_WARM_BUDGET_SECONDS

@@ -44,6 +44,7 @@ GUARDED = {
     "BENCH_ASK_LATENCY.json": {
         "cold_ask_seconds": "ceiling",
         "warm_ask_seconds": "ceiling",
+        "warm_ask_mixed_seconds": "ceiling",
     },
     "BENCH_ASYNC.json": {"speedup": "ratio", "batch1_identical": "flag"},
     "BENCH_HETEROGENEOUS.json": {
