@@ -15,10 +15,11 @@ from repro.configspace.parameters import (
     Parameter,
 )
 from repro.configspace.configuration import Configuration
-from repro.configspace.space import ConfigurationSpace
+from repro.configspace.space import CandidatePool, ConfigurationSpace
 
 __all__ = [
     "BooleanParameter",
+    "CandidatePool",
     "CategoricalParameter",
     "Configuration",
     "ConfigurationSpace",

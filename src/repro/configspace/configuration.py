@@ -40,11 +40,10 @@ class Configuration(Mapping):
     def _from_validated(cls, space, values: Dict) -> "Configuration":
         """Build a configuration from values known to be complete and legal.
 
-        Used by the columnar batch paths of :class:`ConfigurationSpace`,
-        where values come straight out of a parameter's own
-        ``decode_array`` / ``sample_array`` / ``neighbour_array`` and
-        re-validating each one per configuration would dominate the batch
-        cost.
+        Used by :class:`~repro.configspace.space.CandidatePool`, where
+        values come straight out of a parameter's own ``sample_native`` /
+        ``neighbour_native`` columns and re-validating each one per
+        configuration would dominate the batch cost.
         """
         config = object.__new__(cls)
         config._space = space

@@ -6,13 +6,16 @@ Each parameter knows how to sample a random value, encode a value into
 supported because most DBMS memory knobs (``shared_buffers``, ``work_mem``,
 …) span several orders of magnitude.
 
-Besides the scalar interface, every parameter offers columnar counterparts
-(``encode_array``, ``decode_array``, ``sample_array``, ``neighbour_array``)
-that process *all* values of a batch with one vectorized operation.  The
-candidate-generation hot path of the SMAC optimizer
-(:meth:`~repro.configspace.space.ConfigurationSpace.sample_batch`,
-``encode_batch``, ``neighbours``) runs one columnar call per parameter
-instead of one Python loop per configuration.
+Besides the scalar interface, every parameter processes whole batches as
+one *native column*: an ndarray of float64 values (floats), int64 values
+(integers) or int64 choice positions (categoricals).  ``decode_native``,
+``sample_native`` and ``neighbour_native`` produce such columns with one
+vectorized operation, ``encode_native`` maps one into ``[0, 1]`` and
+``to_list`` turns one into Python values.  The list APIs
+(``decode_array``, ``sample_array``, ``neighbour_array``) are thin wrappers
+over them.  The candidate pool of the SMAC and GP optimizers
+(:meth:`~repro.configspace.space.ConfigurationSpace.candidate_pool`) works
+on native columns directly.
 """
 
 from __future__ import annotations
@@ -21,6 +24,14 @@ import math
 from typing import List, Optional, Sequence
 
 import numpy as np
+
+
+def _object_column(values: List) -> np.ndarray:
+    """A 1-D object array holding ``values`` as they are (no unpacking)."""
+    column = np.empty(len(values), dtype=object)
+    for index, value in enumerate(values):
+        column[index] = value
+    return column
 
 
 class Parameter:
@@ -54,25 +65,48 @@ class Parameter:
         raise NotImplementedError
 
     # -- columnar interface ----------------------------------------------
-    # Subclasses override these with truly vectorized implementations; the
-    # base-class fallbacks keep custom Parameter subclasses working.
+    # Subclasses override the native primitives with vectorized
+    # implementations; the base-class fallbacks build object columns through
+    # the scalar interface, which keeps custom Parameter subclasses working.
+    def decode_native(self, units: np.ndarray) -> np.ndarray:
+        """Decode a batch of ``[0, 1]`` scalars into a native column."""
+        return _object_column([self.decode(u) for u in np.asarray(units, dtype=float)])
+
+    def sample_native(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """Draw ``n`` uniform random legal values as a native column."""
+        return self.decode_native(rng.random(n))
+
+    def neighbour_native(
+        self, value, n: int, rng: np.random.Generator, scale: float = 0.2
+    ) -> np.ndarray:
+        """``n`` nearby legal values of ``value`` as a native column."""
+        return _object_column([self.neighbour(value, rng, scale=scale) for _ in range(n)])
+
+    def encode_native(self, column: np.ndarray) -> np.ndarray:
+        """Encode a native column into ``[0, 1]``."""
+        return self.encode_array(column)
+
+    def to_list(self, column: np.ndarray) -> List:
+        """The Python values held by a native column."""
+        return column.tolist()
+
     def encode_array(self, values: Sequence) -> np.ndarray:
         """Encode a batch of legal values into ``[0, 1]`` (one array op)."""
         return np.array([self.encode(v) for v in values], dtype=float)
 
     def decode_array(self, units: np.ndarray) -> List:
         """Decode a batch of ``[0, 1]`` scalars back to legal values."""
-        return [self.decode(u) for u in np.asarray(units, dtype=float)]
+        return self.to_list(self.decode_native(units))
 
     def sample_array(self, n: int, rng: np.random.Generator) -> List:
         """Draw ``n`` uniform random legal values."""
-        return self.decode_array(rng.random(n))
+        return self.to_list(self.sample_native(n, rng))
 
     def neighbour_array(
         self, value, n: int, rng: np.random.Generator, scale: float = 0.2
     ) -> List:
         """Return ``n`` nearby legal values of ``value`` (for local search)."""
-        return [self.neighbour(value, rng, scale=scale) for _ in range(n)]
+        return self.to_list(self.neighbour_native(value, n, rng, scale=scale))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r}, default={self.default!r})"
@@ -123,13 +157,15 @@ class FloatParameter(Parameter):
     def decode(self, unit: float) -> float:
         unit = min(max(float(unit), 0.0), 1.0)
         if self.log:
-            return float(
-                math.exp(
-                    math.log(self.lower)
-                    + unit * (math.log(self.upper) - math.log(self.lower))
-                )
+            raw = math.exp(
+                math.log(self.lower)
+                + unit * (math.log(self.upper) - math.log(self.lower))
             )
-        return float(self.lower + unit * (self.upper - self.lower))
+        else:
+            raw = self.lower + unit * (self.upper - self.lower)
+        # exp(log(...)) can round one ulp past a bound (1 and 3 decode unit
+        # 1.0 to 3.0000000000000004); clamp so decoded values stay legal.
+        return float(min(max(raw, self.lower), self.upper))
 
     def neighbour(self, value, rng: np.random.Generator, scale: float = 0.2) -> float:
         unit = self.encode(value)
@@ -152,24 +188,23 @@ class FloatParameter(Parameter):
             )
         return (values - self.lower) / (self.upper - self.lower)
 
-    def _decode_to_ndarray(self, units: np.ndarray) -> np.ndarray:
+    def decode_native(self, units: np.ndarray) -> np.ndarray:
         units = np.clip(np.asarray(units, dtype=float), 0.0, 1.0)
         if self.log:
-            return np.exp(
+            raw = np.exp(
                 math.log(self.lower)
                 + units * (math.log(self.upper) - math.log(self.lower))
             )
-        return self.lower + units * (self.upper - self.lower)
+        else:
+            raw = self.lower + units * (self.upper - self.lower)
+        return np.clip(raw, self.lower, self.upper)
 
-    def decode_array(self, units: np.ndarray) -> List[float]:
-        return self._decode_to_ndarray(units).tolist()
-
-    def neighbour_array(
+    def neighbour_native(
         self, value, n: int, rng: np.random.Generator, scale: float = 0.2
-    ) -> List[float]:
+    ) -> np.ndarray:
         unit = self.encode(value)
         steps = rng.normal(0.0, scale, size=n)
-        return self.decode_array(np.clip(unit + steps, 0.0, 1.0))
+        return self.decode_native(np.clip(unit + steps, 0.0, 1.0))
 
 
 class IntegerParameter(Parameter):
@@ -216,8 +251,6 @@ class IntegerParameter(Parameter):
             return (math.log(value) - math.log(self.lower)) / (
                 math.log(self.upper) - math.log(self.lower)
             )
-        if self.upper == self.lower:
-            return 0.0
         return (value - self.lower) / (self.upper - self.lower)
 
     def decode(self, unit: float) -> int:
@@ -235,7 +268,7 @@ class IntegerParameter(Parameter):
         unit = self.encode(value)
         step = float(rng.normal(0.0, scale))
         candidate = self.decode(min(max(unit + step, 0.0), 1.0))
-        if candidate == int(value) and self.upper > self.lower:
+        if candidate == int(value):
             # Force at least a one-step move so local search cannot stall.
             direction = 1 if rng.random() < 0.5 else -1
             candidate = int(min(max(int(value) + direction, self.lower), self.upper))
@@ -258,11 +291,9 @@ class IntegerParameter(Parameter):
             return (np.log(as_int) - math.log(self.lower)) / (
                 math.log(self.upper) - math.log(self.lower)
             )
-        if self.upper == self.lower:
-            return np.zeros(as_int.shape, dtype=float)
         return (as_int - self.lower) / (self.upper - self.lower)
 
-    def _decode_to_ndarray(self, units: np.ndarray) -> np.ndarray:
+    def decode_native(self, units: np.ndarray) -> np.ndarray:
         units = np.clip(np.asarray(units, dtype=float), 0.0, 1.0)
         if self.log:
             raw = np.exp(
@@ -275,23 +306,19 @@ class IntegerParameter(Parameter):
         # matches the scalar decode() exactly.
         return np.clip(np.round(raw), self.lower, self.upper).astype(np.int64)
 
-    def decode_array(self, units: np.ndarray) -> List[int]:
-        return self._decode_to_ndarray(units).tolist()
-
-    def neighbour_array(
+    def neighbour_native(
         self, value, n: int, rng: np.random.Generator, scale: float = 0.2
-    ) -> List[int]:
+    ) -> np.ndarray:
         unit = self.encode(value)
         steps = rng.normal(0.0, scale, size=n)
-        candidates = self._decode_to_ndarray(np.clip(unit + steps, 0.0, 1.0))
-        if self.upper > self.lower:
-            stalled = np.flatnonzero(candidates == int(value))
-            if stalled.size:
-                # Force at least a one-step move so local search cannot stall.
-                directions = np.where(rng.random(stalled.size) < 0.5, 1, -1)
-                forced = np.clip(int(value) + directions, self.lower, self.upper)
-                candidates[stalled] = forced
-        return candidates.tolist()
+        candidates = self.decode_native(np.clip(unit + steps, 0.0, 1.0))
+        stalled = np.flatnonzero(candidates == int(value))
+        if stalled.size:
+            # Force at least a one-step move so local search cannot stall.
+            directions = np.where(rng.random(stalled.size) < 0.5, 1, -1)
+            forced = np.clip(int(value) + directions, self.lower, self.upper)
+            candidates[stalled] = forced
+        return candidates
 
 
 class CategoricalParameter(Parameter):
@@ -301,8 +328,15 @@ class CategoricalParameter(Parameter):
         choices_list: List = list(choices)
         if len(choices_list) < 2:
             raise ValueError(f"{name}: categorical parameters need >= 2 choices")
-        if len(set(map(repr, choices_list))) != len(choices_list):
-            raise ValueError(f"{name}: duplicate choices")
+        for position, choice in enumerate(choices_list):
+            for earlier in choices_list[:position]:
+                # Choices that compare equal (``1`` and ``True``, ``0`` and
+                # ``0.0``) would share one code: lookups by value find the
+                # first, so the other could never be encoded or perturbed.
+                if repr(choice) == repr(earlier) or choice == earlier:
+                    raise ValueError(
+                        f"{name}: duplicate choices {earlier!r} and {choice!r}"
+                    )
         self.choices = choices_list
         if default is None:
             default = choices_list[0]
@@ -333,34 +367,42 @@ class CategoricalParameter(Parameter):
         return others[int(rng.integers(0, len(others)))]
 
     # -- columnar --------------------------------------------------------
+    # A categorical's native column holds choice positions (int64 codes).
     def _index_of(self, value) -> int:
         try:
             return self.choices.index(value)
         except ValueError:
             raise ValueError(f"{self.name}: {value!r} not in {self.choices!r}")
 
-    def encode_array(self, values: Sequence) -> np.ndarray:
-        indices = np.array([self._index_of(v) for v in values], dtype=float)
-        return (indices + 0.5) / len(self.choices)
+    def encode_native(self, column: np.ndarray) -> np.ndarray:
+        return (column + 0.5) / len(self.choices)
 
-    def decode_array(self, units: np.ndarray) -> List:
+    def encode_array(self, values: Sequence) -> np.ndarray:
+        return self.encode_native(
+            np.array([self._index_of(v) for v in values], dtype=np.int64)
+        )
+
+    def decode_native(self, units: np.ndarray) -> np.ndarray:
         units = np.clip(np.asarray(units, dtype=float), 0.0, 1.0)
-        indices = np.minimum(
+        return np.minimum(
             (units * len(self.choices)).astype(np.int64), len(self.choices) - 1
         )
-        return [self.choices[i] for i in indices.tolist()]
 
-    def sample_array(self, n: int, rng: np.random.Generator) -> List:
-        indices = rng.integers(0, len(self.choices), size=n)
-        return [self.choices[i] for i in indices.tolist()]
+    def sample_native(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        return rng.integers(0, len(self.choices), size=n)
 
-    def neighbour_array(
+    def neighbour_native(
         self, value, n: int, rng: np.random.Generator, scale: float = 0.2
-    ) -> List:
+    ) -> np.ndarray:
         self.validate(value)
-        others = [c for c in self.choices if c != value]
-        indices = rng.integers(0, len(others), size=n)
-        return [others[i] for i in indices.tolist()]
+        # Uniform over the other choices: draw among k - 1 positions and
+        # skip over the position of ``value``.
+        position = self.choices.index(value)
+        draws = rng.integers(0, len(self.choices) - 1, size=n)
+        return draws + (draws >= position)
+
+    def to_list(self, column: np.ndarray) -> List:
+        return [self.choices[i] for i in column.tolist()]
 
 
 class BooleanParameter(CategoricalParameter):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -80,17 +80,65 @@ class ConfigurationSpace:
 
     def sample_batch(self, n: int, rng: Optional[np.random.Generator] = None) -> List[Configuration]:
         """Draw ``n`` random configurations, one columnar draw per knob."""
-        if n < 0:
+        return self.candidate_pool(n, rng).configurations()
+
+    def candidate_pool(
+        self,
+        n_random: int,
+        rng: Optional[np.random.Generator] = None,
+        incumbents: Sequence[Configuration] = (),
+        per_incumbent: int = 0,
+        scale: float = 0.2,
+        incumbent_rows: Optional[np.ndarray] = None,
+    ) -> "CandidatePool":
+        """Random configurations plus single-knob perturbations of incumbents.
+
+        The ``n_random`` random rows are drawn first, one native column per
+        knob.  Then, per incumbent, the perturbed knob of each of its
+        ``per_incumbent`` neighbours is drawn, and all neighbours that share
+        a knob are perturbed with one ``neighbour_native`` call, in knob
+        order.  ``incumbent_rows``, when given, are the incumbents' encoded
+        rows (e.g. from the surrogate's training matrix); the pool reuses
+        them as the unchanged part of each neighbour's encoding.
+        """
+        if n_random < 0:
             raise ValueError("n must be non-negative")
-        if n == 0:
-            return []
         rng = rng if rng is not None else self._rng
-        columns = [p.sample_array(n, rng) for p in self.parameters]
-        names = self.names
-        return [
-            Configuration._from_validated(self, dict(zip(names, row)))
-            for row in zip(*columns)
-        ]
+        parameters = self.parameters
+        columns = [p.sample_native(n_random, rng) for p in parameters] if n_random else []
+        if per_incumbent <= 0:
+            incumbents = []
+        knobs: List[np.ndarray] = []
+        perturbed: Dict[int, Tuple[List[np.ndarray], List[np.ndarray]]] = {}
+        for offset, config in enumerate(incumbents):
+            # The neighbours are built without per-configuration
+            # re-validation, so the base values must be legal *in this
+            # space* (the config may come from a structurally identical
+            # space with different bounds).
+            for p in parameters:
+                p.validate(config[p.name])
+            chosen = rng.integers(0, self.dimension, size=per_incumbent)
+            knobs.append(chosen)
+            for knob in np.unique(chosen).tolist():
+                slots = np.flatnonzero(chosen == knob)
+                p = parameters[knob]
+                column = p.neighbour_native(config[p.name], slots.size, rng, scale=scale)
+                slot_parts, column_parts = perturbed.setdefault(knob, ([], []))
+                slot_parts.append(slots + offset * per_incumbent)
+                column_parts.append(column)
+        return CandidatePool(
+            self,
+            n_random,
+            columns,
+            list(incumbents),
+            per_incumbent,
+            np.concatenate(knobs) if knobs else np.zeros(0, dtype=np.int64),
+            {
+                knob: (np.concatenate(slots), np.concatenate(column))
+                for knob, (slots, column) in perturbed.items()
+            },
+            incumbent_rows,
+        )
 
     # -- encoding ------------------------------------------------------
     def encode(self, config: Configuration) -> np.ndarray:
@@ -160,27 +208,108 @@ class ConfigurationSpace:
         """A list of ``n`` single-knob perturbations of ``config``.
 
         The perturbed knob is drawn per neighbour, then all neighbours that
-        share a knob are perturbed with one columnar ``neighbour_array``
+        share a knob are perturbed with one columnar ``neighbour_native``
         call on that knob's parameter.
         """
-        rng = rng if rng is not None else self._rng
-        if n <= 0:
-            return []
-        base = config.as_dict()
-        # The neighbours are built without per-configuration re-validation,
-        # so the base values must be legal *in this space* (the config may
-        # come from a structurally identical space with different bounds).
-        for name in self.names:
-            self[name].validate(base[name])
-        chosen = rng.integers(0, self.dimension, size=n)
-        rows: List[Dict] = [dict(base) for _ in range(n)]
-        for index, name in enumerate(self.names):
-            slots = np.flatnonzero(chosen == index)
-            if slots.size == 0:
-                continue
-            perturbed = self[name].neighbour_array(
-                base[name], slots.size, rng, scale=scale
-            )
-            for slot, value in zip(slots.tolist(), perturbed):
+        return self.candidate_pool(0, rng, [config], n, scale=scale).configurations()
+
+
+class CandidatePool:
+    """A batch of candidate configurations held as columns.
+
+    Built by :meth:`ConfigurationSpace.candidate_pool`.  Rows
+    ``[0, n_random)`` are random configurations, kept as one native column
+    per knob (see :mod:`repro.configspace.parameters`).  Row
+    ``n_random + j`` perturbs knob ``knobs[j]`` of incumbent
+    ``j // per_incumbent``; the perturbed values are kept per knob as
+    ``(neighbour indices, native column)``.  The unit-cube encoding ``X``
+    is computed on first use, and only rows that are asked for become
+    :class:`Configuration` objects.
+    """
+
+    def __init__(
+        self,
+        space: ConfigurationSpace,
+        n_random: int,
+        columns: List[np.ndarray],
+        incumbents: List[Configuration],
+        per_incumbent: int,
+        knobs: np.ndarray,
+        perturbed: Dict[int, Tuple[np.ndarray, np.ndarray]],
+        incumbent_rows: Optional[np.ndarray],
+    ) -> None:
+        self.space = space
+        self.n_random = n_random
+        self._columns = columns
+        self._incumbents = incumbents
+        self._per_incumbent = per_incumbent
+        self._knobs = knobs
+        self._perturbed = perturbed
+        self._incumbent_rows = incumbent_rows
+        self._X: Optional[np.ndarray] = None
+
+    def __len__(self) -> int:
+        return self.n_random + len(self._knobs)
+
+    @property
+    def X(self) -> np.ndarray:
+        """Unit-cube encoding of every row, shape ``(len(self), dimension)``."""
+        if self._X is None:
+            self._X = self._encode()
+        return self._X
+
+    def _encode(self) -> np.ndarray:
+        parameters = self.space.parameters
+        X = np.empty((len(self), self.space.dimension), dtype=float)
+        for knob, column in enumerate(self._columns):
+            X[: self.n_random, knob] = parameters[knob].encode_native(column)
+        if len(self._knobs):
+            rows = self._incumbent_rows
+            if rows is None:
+                rows = self.space.encode_batch(self._incumbents)
+            X[self.n_random :] = np.repeat(rows, self._per_incumbent, axis=0)
+            for knob, (slots, column) in self._perturbed.items():
+                X[self.n_random + slots, knob] = parameters[knob].encode_native(column)
+        return X
+
+    def configuration(self, row: int) -> Configuration:
+        """Materialise one row as a :class:`Configuration`."""
+        if not 0 <= row < len(self):
+            raise IndexError(f"row {row} outside a pool of {len(self)}")
+        parameters = self.space.parameters
+        if row < self.n_random:
+            values = {
+                p.name: p.to_list(column[row : row + 1])[0]
+                for p, column in zip(parameters, self._columns)
+            }
+        else:
+            j = row - self.n_random
+            values = self._incumbents[j // self._per_incumbent].as_dict()
+            knob = int(self._knobs[j])
+            slots, column = self._perturbed[knob]
+            at = int(np.searchsorted(slots, j))
+            p = parameters[knob]
+            values[p.name] = p.to_list(column[at : at + 1])[0]
+        return Configuration._from_validated(self.space, values)
+
+    def configurations(self) -> List[Configuration]:
+        """Materialise every row, in row order."""
+        space = self.space
+        names = space.names
+        parameters = space.parameters
+        lists = [p.to_list(column) for p, column in zip(parameters, self._columns)]
+        configs = [
+            Configuration._from_validated(space, dict(zip(names, row)))
+            for row in zip(*lists)
+        ]
+        rows = [
+            incumbent.as_dict()
+            for incumbent in self._incumbents
+            for _ in range(self._per_incumbent)
+        ]
+        for knob, (slots, column) in self._perturbed.items():
+            name = names[knob]
+            for slot, value in zip(slots.tolist(), parameters[knob].to_list(column)):
                 rows[slot][name] = value
-        return [Configuration._from_validated(self, values) for values in rows]
+        configs.extend(Configuration._from_validated(space, values) for values in rows)
+        return configs

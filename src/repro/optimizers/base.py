@@ -243,6 +243,12 @@ class Optimizer(abc.ABC):
         candidates = [obs for obs in self.observations if obs.budget >= max_budget]
         return min(candidates, key=lambda obs: obs.cost)
 
+    @staticmethod
+    def _incumbent_indices(y: np.ndarray) -> List[int]:
+        """Training rows of the best tenth of the costs (at least one), best
+        first: the incumbents whose neighbours join the candidate pool."""
+        return np.argsort(y, kind="stable")[: max(1, len(y) // 10)].tolist()
+
     def _training_data(self) -> tuple:
         """Encode observations (real + pending fantasies) for surrogate fitting.
 

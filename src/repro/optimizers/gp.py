@@ -55,14 +55,16 @@ class GaussianProcessOptimizer(Optimizer):
         )
         gp.fit(X, y)
 
-        candidates = self.space.sample_batch(self.n_candidates, rng=self._rng)
-        if configs:
-            order = np.argsort(y, kind="stable")
-            top = [configs[int(i)] for i in order[: max(1, len(order) // 10)]]
-            for incumbent in top:
-                candidates.extend(self.space.neighbours(incumbent, 20, rng=self._rng, scale=0.1))
-        cand_X = self.space.encode_batch(candidates)
-        mean, std = gp.predict(cand_X, return_std=True)
+        top = self._incumbent_indices(y) if configs else []
+        pool = self.space.candidate_pool(
+            self.n_candidates,
+            self._rng,
+            incumbents=[configs[i] for i in top],
+            per_incumbent=20,
+            scale=0.1,
+            incumbent_rows=X[top],
+        )
+        mean, std = gp.predict(pool.X, return_std=True)
         ei = expected_improvement(mean, std, best_cost=float(np.min(y)), xi=self.xi)
         best_indices = np.flatnonzero(ei >= ei.max() - 1e-12)
-        return candidates[int(self._rng.choice(best_indices))]
+        return pool.configuration(int(self._rng.choice(best_indices)))

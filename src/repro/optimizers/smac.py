@@ -13,7 +13,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.configspace import Configuration, ConfigurationSpace
+from repro.configspace import CandidatePool, Configuration, ConfigurationSpace
 from repro.ml.cache import SurrogateCache
 from repro.ml.forest import RandomForestRegressor
 from repro.optimizers.acquisition import expected_improvement
@@ -105,17 +105,18 @@ class SMACOptimizer(Optimizer):
         self._surrogate_cache.put(self.data_version, fitted)
         return fitted
 
-    def _candidate_pool(self, configs: List[Configuration], y: np.ndarray) -> List[Configuration]:
-        candidates = self.space.sample_batch(self.n_candidates, rng=self._rng)
-        if configs and self.n_local > 0:
-            order = np.argsort(y, kind="stable")
-            top = [configs[int(i)] for i in order[: max(1, len(order) // 10)]]
-            per_incumbent = max(1, self.n_local // len(top))
-            for incumbent in top:
-                candidates.extend(
-                    self.space.neighbours(incumbent, per_incumbent, rng=self._rng, scale=0.15)
-                )
-        return candidates
+    def _candidate_pool(
+        self, X: np.ndarray, y: np.ndarray, configs: List[Configuration]
+    ) -> CandidatePool:
+        top = self._incumbent_indices(y) if configs and self.n_local > 0 else []
+        return self.space.candidate_pool(
+            self.n_candidates,
+            self._rng,
+            incumbents=[configs[i] for i in top],
+            per_incumbent=max(1, self.n_local // len(top)) if len(top) else 0,
+            scale=0.15,
+            incumbent_rows=X[top],
+        )
 
     # -- ask ------------------------------------------------------
     def ask(self) -> Configuration:
@@ -133,16 +134,15 @@ class SMACOptimizer(Optimizer):
             return self.space.sample(self._rng)
 
         forest, X, y, configs = self._fit_surrogate()
-        candidates = self._candidate_pool(configs, y)
-        if not candidates:
+        pool = self._candidate_pool(X, y, configs)
+        if not pool:
             # Degenerate pool (n_candidates=0 and no local search): fall back
             # to a random sample instead of letting ``ei.max()`` raise on an
             # empty array.
             return self.space.sample(self._rng)
-        cand_X = self.space.encode_batch(candidates)
-        mean, std = forest.predict_mean_std(cand_X)
+        mean, std = forest.predict_mean_std(pool.X)
         ei = expected_improvement(mean, std, best_cost=float(np.min(y)), xi=self.xi)
         # Break ties randomly so repeated asks don't collapse to one point.
         best_indices = np.flatnonzero(ei >= ei.max() - 1e-12)
         choice = int(self._rng.choice(best_indices))
-        return candidates[choice]
+        return pool.configuration(choice)

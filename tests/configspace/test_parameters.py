@@ -108,6 +108,22 @@ class TestIntegerParameter:
         p.validate(p.decode(unit))
 
 
+class TestLogFloatBounds:
+    # exp(log(1) + 1.0 * (log(3) - log(1))) is 3.0000000000000004: without a
+    # clamp the upper bound decodes to an illegal value, which encode_array
+    # then rejects.
+    def test_decode_stays_inside_bounds(self):
+        p = FloatParameter("f", 1.0, 3.0, log=True)
+        assert p.decode(1.0) == 3.0
+        assert p.decode_array(np.array([0.0, 1.0])) == [1.0, 3.0]
+
+    def test_neighbours_at_the_bound_encode(self):
+        p = FloatParameter("f", 1.0, 3.0, log=True)
+        values = p.neighbour_array(2.9, 64, np.random.default_rng(0), scale=5.0)
+        assert 3.0 in values
+        assert np.all(p.encode_array(values) <= 1.0)
+
+
 class TestCategoricalParameter:
     def test_requires_two_choices(self):
         with pytest.raises(ValueError):
@@ -116,6 +132,22 @@ class TestCategoricalParameter:
     def test_duplicate_choices_rejected(self):
         with pytest.raises(ValueError):
             CategoricalParameter("c", ["a", "a"])
+
+    @pytest.mark.parametrize(
+        "choices", [[1, True], [0, 0.0], [False, 0], ["a", "b", 2, 2.0]]
+    )
+    def test_choices_that_compare_equal_rejected(self, choices):
+        # Equal choices would share one code: the later one could never be
+        # encoded (it lands in the earlier one's bucket) or perturbed away
+        # from (it has no "other" choice to move to).
+        with pytest.raises(ValueError, match="duplicate choices"):
+            CategoricalParameter("c", choices)
+
+    def test_distinct_mixed_type_choices_accepted(self):
+        p = CategoricalParameter("c", [0, "0", None, 1.5])
+        for position, choice in enumerate(p.choices):
+            assert p.encode(choice) == (position + 0.5) / 4
+            assert p.decode(p.encode(choice)) is choice
 
     def test_default_is_first_choice(self):
         p = CategoricalParameter("c", ["a", "b", "c"])
@@ -213,6 +245,14 @@ class TestColumnarParameterOps:
         for value in neighbours:
             p.validate(value)
             assert not isinstance(value, np.generic)
+
+    @pytest.mark.parametrize("p", PARAMS, ids=lambda p: p.name)
+    def test_native_columns_are_typed_and_list_apis_wrap_them(self, p):
+        native = p.sample_native(64, np.random.default_rng(48))
+        dtype = np.float64 if isinstance(p, FloatParameter) else np.int64
+        assert native.dtype == dtype
+        assert p.to_list(native) == p.sample_array(64, np.random.default_rng(48))
+        assert np.array_equal(p.encode_native(native), p.encode_array(p.to_list(native)))
 
     def test_integer_neighbour_array_never_stalls(self):
         p = IntegerParameter("i", 0, 100)

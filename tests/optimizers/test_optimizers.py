@@ -229,6 +229,8 @@ class TestSMAC:
         for _ in range(3):
             config = opt.ask()
             opt.tell(config, quadratic_cost(config))
+        X, y, configs = opt._training_data()
+        assert len(opt._candidate_pool(X, y, configs)) == 0
         config = opt.ask()  # surrogate path with an empty candidate pool
         for name in space.names:
             space[name].validate(config[name])
@@ -238,9 +240,10 @@ class TestSMAC:
         for _ in range(3):
             config = opt.ask()
             opt.tell(config, quadratic_cost(config))
-        _, y, configs = opt._training_data()
-        pool = opt._candidate_pool(configs, y)
+        X, y, configs = opt._training_data()
+        pool = opt._candidate_pool(X, y, configs)
         assert len(pool) == 50
+        assert pool.X.shape == (50, opt.space.dimension)
 
     def test_handles_noisy_observations(self):
         best = run_optimizer(
