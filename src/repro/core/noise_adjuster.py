@@ -162,3 +162,26 @@ class NoiseAdjuster:
         # guardrails): never let the model swing a value by more than 30 %.
         predicted = float(np.clip(predicted, -0.30, 0.30))
         return float(sample.value / (1.0 + predicted))
+
+    def adjust_many(self, samples: Sequence[Sample], is_outlier: bool = False) -> List[float]:
+        """:meth:`adjust` for several samples, bit-for-bit, with one scaler
+        transform and one forest ``predict`` over all samples the model
+        applies to (the rest keep their raw values, as in :meth:`adjust`)."""
+        values = [float(sample.value) for sample in samples]
+        if is_outlier or self._model is None or self._scaler is None:
+            return values
+        rows = [
+            i for i, sample in enumerate(samples)
+            if not sample.crashed and sample.telemetry is not None
+        ]
+        if not rows:
+            return values
+        features = np.stack(
+            [self._features(samples[i].telemetry, samples[i].worker_id) for i in rows]
+        )
+        predicted = np.clip(
+            self._model.predict(self._scaler.transform(features)), -0.30, 0.30
+        )
+        for i, error in zip(rows, predicted.tolist()):
+            values[i] = float(samples[i].value / (1.0 + error))
+        return values

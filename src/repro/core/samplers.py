@@ -30,7 +30,7 @@ from repro.core.multi_fidelity import SuccessiveHalvingSchedule
 from repro.core.noise_adjuster import NoiseAdjuster
 from repro.core.outlier import OutlierDetector
 from repro.core.scheduler import MultiFidelityTaskScheduler
-from repro.optimizers.base import Optimizer, objective_to_cost
+from repro.optimizers.base import Optimizer, check_liar, objective_to_cost
 
 if TYPE_CHECKING:  # annotation only
     from repro.workloads.base import Objective
@@ -258,9 +258,14 @@ class TunaSampler(Sampler):
         legacy placement bit-for-bit; ``"fifo"`` is the naive round-robin
         baseline the heterogeneous-fleet benchmark compares against.
     liar:
-        Constant-liar strategy for in-flight fantasies (``"min"``,
-        ``"mean"`` or ``"max"``); the §6.6-style ablation knob.  The default
-        ``"min"`` is the legacy behaviour, bit-for-bit.
+        Fantasy strategy for in-flight configurations, one of
+        :data:`~repro.optimizers.base.LIAR_STRATEGIES`; the §6.6-style
+        ablation knob.  The default ``"posterior"`` lets SMAC serve the
+        in-flight asks of a wave from one fitted forest by resampling its
+        trees instead of refitting after every constant-liar fantasy; the
+        first ask after each refit is unchanged, so sequential and lockstep
+        ``batch_size=1`` runs are the same as under ``"min"``, the legacy
+        behaviour, bit-for-bit.
     """
 
     name = "tuna"
@@ -278,8 +283,9 @@ class TunaSampler(Sampler):
         use_noise_adjuster: bool = True,
         use_outlier_detector: bool = True,
         placement: str = "heterogeneity",
-        liar: str = "min",
+        liar: str = "posterior",
     ) -> None:
+        check_liar(liar)
         super().__init__(optimizer, execution, cluster, seed=seed)
         if budgets[-1] > cluster.n_workers:
             raise ValueError("maximum budget cannot exceed the cluster size")
@@ -343,14 +349,12 @@ class TunaSampler(Sampler):
         return config, self.schedule.min_budget, "new"
 
     def _adjust_samples(self, samples: List[Sample], unstable: bool) -> List[float]:
-        adjusted = []
-        for sample in samples:
-            if self.use_noise_adjuster:
-                value = self.noise_adjuster.adjust(sample, is_outlier=unstable)
-            else:
-                value = sample.value
+        if self.use_noise_adjuster:
+            adjusted = self.noise_adjuster.adjust_many(samples, is_outlier=unstable)
+        else:
+            adjusted = [sample.value for sample in samples]
+        for sample, value in zip(samples, adjusted):
             sample.adjusted_value = value
-            adjusted.append(value)
         return adjusted
 
     def _retrain_noise_adjuster(self) -> None:

@@ -90,15 +90,18 @@ class _FlatForest:
         self._child[0::2] = np.where(is_leaf, ids, self.left)
         self._child[1::2] = np.where(is_leaf, ids, self.right)
 
-    def leaf_indices(self, X: np.ndarray) -> np.ndarray:
-        """(n_rows, n_trees) leaf node index for every row under every tree."""
+    def leaf_indices(self, X: np.ndarray, roots: Optional[np.ndarray] = None) -> np.ndarray:
+        """(n_rows, n_trees) leaf node index for every row under every tree
+        (or under the trees starting at ``roots``, in that order)."""
+        if roots is None:
+            roots = self.roots
         n_rows = X.shape[0]
-        n_trees = self.roots.shape[0]
+        n_trees = roots.shape[0]
         n_features = X.shape[1]
         flat_X = X.ravel()
         # One flattened slot per (row, tree) pair; ``rowbase`` is the offset
         # of each slot's row inside ``flat_X``.
-        nodes = np.broadcast_to(self.roots, (n_rows, n_trees)).ravel().copy()
+        nodes = np.broadcast_to(roots, (n_rows, n_trees)).ravel().copy()
         rowbase = np.repeat(np.arange(n_rows, dtype=np.intp) * n_features, n_trees)
         idx = nodes  # resolved leaf per slot; aliases ``nodes`` until compacted
         slots = None  # indices of still-active slots inside ``idx``
@@ -267,16 +270,30 @@ class RandomForestRegressor:
         assert self._flat is not None
         return self._flat.value[self._flat.leaf_indices(X)].mean(axis=1)
 
-    def predict_mean_std(self, X) -> tuple:
+    def predict_mean_std(self, X, trees=None) -> tuple:
         """Mean and standard deviation of predictions.
 
         The total predictive variance combines the spread of tree means
         (epistemic) with the average within-leaf variance (aleatoric), the
         standard law-of-total-variance decomposition used by SMAC.
+
+        ``trees`` (tree indices, repeats allowed) applies the same formula
+        to that multiset of trees instead of the whole ensemble: drawn with
+        replacement, it is one bootstrap draw of the surrogate's posterior.
+        Only the distinct trees are descended.
         """
         X = self._validate_predict_input(X)
         assert self._flat is not None
-        leaves = self._flat.leaf_indices(X)
+        if trees is None:
+            leaves = self._flat.leaf_indices(X)
+        else:
+            trees = np.asarray(trees, dtype=np.intp)
+            if trees.ndim != 1 or trees.size == 0:
+                raise ValueError("trees must be a non-empty 1-D index array")
+            if trees.min() < 0 or trees.max() >= self._flat.roots.shape[0]:
+                raise ValueError("tree index out of range")
+            distinct, inverse = np.unique(trees, return_inverse=True)
+            leaves = self._flat.leaf_indices(X, self._flat.roots[distinct])[:, inverse]
         means = self._flat.value[leaves]  # (n_rows, n_trees)
         variances = self._flat.variance[leaves]
         mean = means.mean(axis=1)

@@ -31,12 +31,22 @@ def cost_to_objective(cost: float, objective: Objective) -> float:
     return float(cost)
 
 
-#: Known constant-liar strategies for in-flight fantasies (§6.6 ablation):
-#: the lie recorded for a pending configuration is the best / mean / worst
-#: cost seen so far.  ``"min"`` is aggressive (assumes the pending point is
+#: Known strategies for in-flight fantasies (§6.6 ablation).  The constant
+#: liars record the best / mean / worst cost seen so far for a pending
+#: configuration.  ``"min"`` is aggressive (assumes the pending point is
 #: great, pushes later asks far away); ``"max"`` is pessimistic (assumes it
 #: is poor, allows revisiting nearby); ``"mean"`` sits between.
-LIAR_STRATEGIES = ("min", "mean", "max")
+#: ``"posterior"`` records the CL-min lie too, but does not invalidate the
+#: fitted surrogate: SMAC serves the asks that follow from the same forest,
+#: each scoring EI under a bootstrap resample of its trees (batch Thompson
+#: sampling), and the lies reach the surrogate at its next refit.
+LIAR_STRATEGIES = ("min", "mean", "max", "posterior")
+
+
+def check_liar(liar: str) -> None:
+    """Raise ``ValueError`` unless ``liar`` is one of :data:`LIAR_STRATEGIES`."""
+    if liar not in LIAR_STRATEGIES:
+        raise ValueError(f"unknown liar strategy {liar!r}; known: {LIAR_STRATEGIES}")
 
 
 @dataclass
@@ -71,9 +81,13 @@ class Optimizer(abc.ABC):
         #: In-flight constant-liar observations, retracted on the real tell.
         self._pending: List[OptimizerObservation] = []
         #: Monotonic fingerprint of the training data (real + pending);
-        #: bumped by every tell/fantasize/retract so surrogate caches can
-        #: key on it.
+        #: bumped by every tell, retract and constant-liar fantasy so
+        #: surrogate caches can key on it.
         self._data_version = 0
+        #: Posterior fantasies recorded since the last :meth:`_training_data`
+        #: (they leave ``_data_version`` alone, so a cached surrogate has not
+        #: seen them).
+        self._unmodelled_fantasies = 0
 
     # -- interface -------------------------------------------------------
     @abc.abstractmethod
@@ -90,6 +104,7 @@ class Optimizer(abc.ABC):
         picks the fantasy statistic (see :data:`LIAR_STRATEGIES`); the
         default CL-min is the legacy behaviour.
         """
+        check_liar(liar)
         if n < 1:
             raise ValueError("batch size must be >= 1")
         configs: List[Configuration] = []
@@ -173,16 +188,18 @@ class Optimizer(abc.ABC):
         is taken over the pending lies, or 0.0 for a completely cold
         optimizer (harmless: asks fall back to random sampling until two
         real observations exist).
+
+        ``"posterior"`` records the CL-min lie without advancing the data
+        fingerprint: a cached surrogate stays valid, and the fantasy is
+        counted as unmodelled until the next fit (see
+        :data:`LIAR_STRATEGIES`).
         """
-        if liar not in LIAR_STRATEGIES:
-            raise ValueError(
-                f"unknown liar strategy {liar!r}; known: {LIAR_STRATEGIES}"
-            )
+        check_liar(liar)
         pool = self.observations or self._pending
         costs = [obs.cost for obs in pool]
         if not costs:
             lie = 0.0
-        elif liar == "min":
+        elif liar in ("min", "posterior"):
             lie = min(costs)
         elif liar == "max":
             lie = max(costs)
@@ -192,7 +209,10 @@ class Optimizer(abc.ABC):
             config, float(lie), float(budget), {"fantasy": True, "liar": liar}
         )
         self._pending.append(observation)
-        self._data_version += 1
+        if liar == "posterior":
+            self._unmodelled_fantasies += 1
+        else:
+            self._data_version += 1
         return observation
 
     def retract_fantasy(self, config: Configuration, all_matching: bool = False) -> bool:
@@ -226,7 +246,8 @@ class Optimizer(abc.ABC):
 
     @property
     def data_version(self) -> int:
-        """Cheap fingerprint of the training data (real + pending lies)."""
+        """Cheap fingerprint of the training data (real + pending lies),
+        except for posterior fantasies not yet modelled."""
         return self._data_version
 
     # -- shared helpers -------------------------------------------------------
@@ -259,7 +280,10 @@ class Optimizer(abc.ABC):
         to the surrogate, but a lie never shadows a real observation of the
         same configuration — the lie is the global best cost, which would
         pull the acquisition *towards* the pending point instead of away.
+        Every pending lie is modelled from here on, so the count of
+        unmodelled posterior fantasies restarts at zero.
         """
+        self._unmodelled_fantasies = 0
         best_per_config: Dict[Configuration, OptimizerObservation] = {}
         for obs in self.observations:
             existing = best_per_config.get(obs.config)

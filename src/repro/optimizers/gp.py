@@ -46,7 +46,9 @@ class GaussianProcessOptimizer(Optimizer):
             return self.space.sample(self._rng)
 
         # Training data includes pending fantasies, so batched asks spread
-        # out instead of collapsing onto the current EI maximum.
+        # out instead of collapsing onto the current EI maximum.  The GP is
+        # refit on every ask, so a posterior fantasy (the CL-min lie) is
+        # modelled at once and "posterior" behaves exactly as "min".
         X, y, configs = self._training_data()
         gp = GaussianProcessRegressor(
             kernel=Matern52Kernel(length_scale=self.length_scale),

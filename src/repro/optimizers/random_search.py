@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.configspace import Configuration, ConfigurationSpace
-from repro.optimizers.base import Optimizer
+from repro.optimizers.base import Optimizer, check_liar
 
 
 class RandomSearchOptimizer(Optimizer):
@@ -20,7 +20,8 @@ class RandomSearchOptimizer(Optimizer):
     def ask_batch(self, n: int, liar: str = "min") -> List[Configuration]:
         # Random suggestions are independent of the observation history, so
         # no constant-liar fantasies are needed to keep a batch diverse
-        # (the liar strategy is accepted for interface parity and ignored).
+        # (the liar strategy is checked for interface parity, then ignored).
+        check_liar(liar)
         if n < 1:
             raise ValueError("batch size must be >= 1")
         return [self.ask() for _ in range(n)]

@@ -63,9 +63,10 @@ class SMACOptimizer(Optimizer):
         )
         self._initial_served = 0
         # Fitted surrogate keyed on the optimizer's data version (bumped by
-        # every tell/fantasize/retract): back-to-back ask() calls without an
-        # intervening data change reuse the forest instead of refitting all
-        # n_trees trees on identical data.
+        # every tell/retract and every constant-liar fantasy): back-to-back
+        # ask() calls without an intervening data change reuse the forest
+        # instead of refitting all n_trees trees on identical data, and so
+        # do asks behind posterior fantasies (see _ask_impl).
         self._surrogate_cache = SurrogateCache()
 
     # -- initial design ------------------------------------------------------
@@ -140,7 +141,16 @@ class SMACOptimizer(Optimizer):
             # to a random sample instead of letting ``ei.max()`` raise on an
             # empty array.
             return self.space.sample(self._rng)
-        mean, std = forest.predict_mean_std(pool.X)
+        trees = None
+        if self._unmodelled_fantasies:
+            # Posterior ask: the cached forest has not seen the in-flight
+            # posterior fantasies.  Instead of refitting with them, score EI
+            # under a bootstrap resample of the trees, so each in-flight ask
+            # follows its own posterior draw (batch Thompson sampling).
+            trees = self._rng.integers(0, self.n_trees, size=self.n_trees)
+            if self.metrics is not None:
+                self.metrics.inc("optimizer.posterior_asks")
+        mean, std = forest.predict_mean_std(pool.X, trees=trees)
         ei = expected_improvement(mean, std, best_cost=float(np.min(y)), xi=self.xi)
         # Break ties randomly so repeated asks don't collapse to one point.
         best_indices = np.flatnonzero(ei >= ei.max() - 1e-12)

@@ -11,6 +11,7 @@ import pytest
 
 from repro.cloud import Cluster
 from repro.core import ExecutionEngine, TunaSampler, TuningLoop
+from repro.faults import LognormalTailModel
 from repro.optimizers import RandomSearchOptimizer, SMACOptimizer
 from repro.systems import PostgreSQLSystem
 from repro.workloads import TPCC
@@ -48,12 +49,14 @@ class TestEmptyWave:
 
 
 class TestWaveWithSpeculativeDuplicate:
+    """A heavy-tail run with speculation armed: waves can contain a request
+    whose sample came from a duplicate while the straggling original was
+    cancelled.  The optimizer must see exactly one tell per completed
+    request and end with no pending fantasies."""
+
     def test_wave_still_sees_one_result_per_sample(self):
-        # A heavy-tail run with speculation armed: waves can contain a
-        # request whose sample came from a duplicate while the straggling
-        # original was cancelled.  The optimizer must see exactly one tell
-        # per completed request and end with no pending fantasies.
-        sampler = make_sampler(seed=37, optimizer="smac")
+        # Seed 37 submits a speculative duplicate under CL-min fantasies.
+        sampler = make_sampler(seed=37, optimizer="smac", liar="min")
         result = TuningLoop(
             sampler,
             max_samples=45,
@@ -62,6 +65,23 @@ class TestWaveWithSpeculativeDuplicate:
             fault_seed=37,
             speculation=True,
         ).run()
+        self.check_one_result_per_sample(sampler, result)
+
+    def test_default_liar_wave_still_sees_one_result_per_sample(self):
+        # The same run under the default posterior fantasies proposes other
+        # configurations; a higher straggler rate makes duplicates fire.
+        sampler = make_sampler(seed=37, optimizer="smac")
+        result = TuningLoop(
+            sampler,
+            max_samples=45,
+            batch_size=8,
+            fault_model=LognormalTailModel(seed=37, rate=0.3),
+            speculation=True,
+        ).run()
+        self.check_one_result_per_sample(sampler, result)
+
+    @staticmethod
+    def check_one_result_per_sample(sampler, result):
         stats = result.engine_stats
         assert stats["n_duplicates_submitted"] > 0
         assert stats["n_items_cancelled"] > 0

@@ -40,7 +40,7 @@ def warm_optimizer(costs=(3.0, 1.0, 2.0)):
 
 class TestLiarStatistics:
     def test_known_strategies(self):
-        assert LIAR_STRATEGIES == ("min", "mean", "max")
+        assert LIAR_STRATEGIES == ("min", "mean", "max", "posterior")
 
     @pytest.mark.parametrize(
         "liar, expected", [("min", 1.0), ("mean", 2.0), ("max", 3.0)]
