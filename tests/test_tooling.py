@@ -167,6 +167,34 @@ def test_graydeg_gate_is_wired_into_make_and_ci():
     )
 
 
+def test_batch_gate_is_wired_into_make_and_ci():
+    """`make bench-batch` exists, its runner exists, CI runs it, and the
+    compare gate guards both the quality margin and the refit reduction."""
+    with open(os.path.join(REPO_ROOT, "Makefile")) as fh:
+        makefile = fh.read()
+    assert re.search(r"^bench-batch:", makefile, re.MULTILINE)
+    assert "make bench-batch" in makefile  # help header documents the target
+    assert os.path.exists(os.path.join(TOOLS_DIR, "run_batch_bench.sh"))
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "bench_compare", os.path.join(TOOLS_DIR, "bench_compare.py")
+    )
+    bench_compare = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_compare)
+    assert bench_compare.GUARDED["BENCH_BATCH.json"] == {
+        "quality_margin": "ratio",
+        "refit_reduction": "ratio",
+    }
+    baseline = os.path.join(REPO_ROOT, "benchmarks", "baselines", "BENCH_BATCH.json")
+    assert os.path.exists(baseline), "bench-compare needs a committed baseline"
+
+    with open(os.path.join(REPO_ROOT, ".github", "workflows", "ci.yml")) as fh:
+        ci = fh.read()
+    bench_job = ci[ci.index("\n  bench:"):]
+    assert "run: make bench-batch" in bench_job, "the CI bench job must run bench-batch"
+
+
 def test_ci_workflow_is_hardened():
     """Concurrency cancellation, job timeouts and the unit-test version
     matrix — CI hygiene the workflow must not silently lose."""

@@ -59,6 +59,7 @@ GUARDED = {
     },
     "BENCH_RESILIENCE.json": {"geomean_retention": "ratio"},
     "BENCH_GRAYDEG.json": {"geomean_retention": "ratio"},
+    "BENCH_BATCH.json": {"quality_margin": "ratio", "refit_reduction": "ratio"},
     "BENCH_EVENTLOOP.json": {
         "speedup": "ratio",
         "indexed_events_per_sec": "rate",
