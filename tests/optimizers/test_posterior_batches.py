@@ -18,8 +18,9 @@ from hypothesis import given, settings, strategies as st
 from repro.cloud import Cluster
 from repro.configspace import ConfigurationSpace, FloatParameter, IntegerParameter
 from repro.core import ExecutionEngine, StudyInterrupted, TunaSampler, TuningLoop
+from repro.ml.forest import RandomForestRegressor
 from repro.obs.metrics import MetricsRegistry
-from repro.optimizers import GaussianProcessOptimizer, SMACOptimizer
+from repro.optimizers import GaussianProcessOptimizer, RandomSearchOptimizer, SMACOptimizer
 from repro.systems import PostgreSQLSystem
 from repro.workloads import TPCC
 
@@ -210,8 +211,6 @@ class TestLiarValidation:
             make_sampler(0, "median")
 
     def test_random_search_ask_batch_rejects_unknown_liar(self):
-        from repro.optimizers import RandomSearchOptimizer
-
         opt = RandomSearchOptimizer(make_space(), seed=0)
         state = rng_state(opt)
         with pytest.raises(ValueError, match="liar"):
@@ -229,8 +228,6 @@ class TestLiarValidation:
 
 
 def test_forest_tree_subset_matches_the_ensemble_formula():
-    from repro.ml.forest import RandomForestRegressor
-
     rng = np.random.default_rng(0)
     X, y = rng.random((40, 3)), rng.random(40)
     forest = RandomForestRegressor(n_estimators=6, seed=1).fit(X, y)
