@@ -129,6 +129,7 @@ from repro.faults import (
     build_fault_model,
     build_partition_model,
 )
+from repro.faults.base import Perturbation, armed
 
 if TYPE_CHECKING:  # avoid import cycles; annotations only
     from repro.core.eventlog import EventLog
@@ -357,7 +358,7 @@ class ClusterEventLoop:
         else:
             start = max(self._workers.free_at_of(worker_idx), self.now, not_before)
         stretch = 1.0
-        if self.fault_model is not None and not self.fault_model.is_null:
+        if armed(self.fault_model):
             context = FaultContext(
                 worker_id=vm.vm_id,
                 start_hours=start,
@@ -390,7 +391,7 @@ class ClusterEventLoop:
             item.failure_kind = "node-death"
             finish = start
             item.finish_hours = start
-        elif self.crash_model is not None and not self.crash_model.is_null:
+        elif armed(self.crash_model):
             decision = self.crash_model.decide(
                 CrashContext(
                     worker_id=vm.vm_id,
@@ -414,11 +415,7 @@ class ClusterEventLoop:
                     self._dead[vm.vm_id] = fail_at
                     self._workers.kill(worker_idx)
         item.silent_at = finish
-        if (
-            self.partition_model is not None
-            and not self.partition_model.is_null
-            and not dead_on_arrival
-        ):
+        if armed(self.partition_model) and not dead_on_arrival:
             # Gray failures delay the item's *terminal report* — completion
             # and failure alike — and may silence the worker earlier.  The
             # orchestrator's view is pessimistic: the worker's queue is held
@@ -689,28 +686,20 @@ class AsyncExecutionEngine:
         elif speculation is False:
             speculation = None
         if lockstep:
-            if fault_model is not None and not fault_model.is_null:
-                raise ValueError(
-                    "fault injection is not supported in lockstep mode "
-                    "(it is the bit-for-bit equivalence gate)"
-                )
+            families: Tuple[Optional[Perturbation[Any, Any]], ...] = (
+                fault_model,
+                crash_model,
+                partition_model,
+                corruption_model,
+            )
+            for model in families:
+                if armed(model):
+                    raise ValueError(
+                        f"{model.family} injection is not supported in lockstep "
+                        "mode (it is the bit-for-bit equivalence gate)"
+                    )
             if speculation is not None:
                 raise ValueError("speculation needs concurrent workers; not lockstep")
-            if crash_model is not None and not crash_model.is_null:
-                raise ValueError(
-                    "crash injection is not supported in lockstep mode "
-                    "(it is the bit-for-bit equivalence gate)"
-                )
-            if partition_model is not None and not partition_model.is_null:
-                raise ValueError(
-                    "partition injection is not supported in lockstep mode "
-                    "(it is the bit-for-bit equivalence gate)"
-                )
-            if corruption_model is not None and not corruption_model.is_null:
-                raise ValueError(
-                    "result corruption is not supported in lockstep mode "
-                    "(it is the bit-for-bit equivalence gate)"
-                )
         if lease_timeout_hours is not None and lease_timeout_hours <= 0:
             raise ValueError("lease_timeout_hours must be positive")
         liveness = (
@@ -940,7 +929,7 @@ class AsyncExecutionEngine:
             sample.details["fault_stretch"] = item.stretch
         if item.speculative:
             sample.details["speculative"] = True
-        if self._corruption_model is not None and not self._corruption_model.is_null:
+        if armed(self._corruption_model):
             # Gray-failure garbage injection: the measurement happened (its
             # RNG was consumed above, keeping the measurement streams
             # aligned with clean runs), but the *reported* value is trash.
@@ -1327,13 +1316,11 @@ class AsyncExecutionEngine:
     @property
     def gray_enabled(self) -> bool:
         """Whether any gray-failure feature is armed on this engine."""
-        partition = self.loop.partition_model
-        corruption = self._corruption_model
         return (
-            (partition is not None and not partition.is_null)
+            armed(self.loop.partition_model)
             or self.loop.liveness is not None
             or self._validator is not None
-            or (corruption is not None and not corruption.is_null)
+            or armed(self._corruption_model)
         )
 
     def _retry_or_exhaust(

@@ -34,6 +34,7 @@ from repro.faults import (
     build_crash_model,
     build_fault_model,
 )
+from repro.faults.base import armed
 
 
 class ScanEventLoop:
@@ -81,7 +82,7 @@ class ScanEventLoop:
         else:
             start = max(self._free_at[vm.vm_id], self.now, not_before)
         stretch = 1.0
-        if self.fault_model is not None and not self.fault_model.is_null:
+        if armed(self.fault_model):
             context = FaultContext(
                 worker_id=vm.vm_id,
                 start_hours=start,
@@ -108,7 +109,7 @@ class ScanEventLoop:
             item.failure_kind = "node-death"
             finish = start
             item.finish_hours = start
-        elif self.crash_model is not None and not self.crash_model.is_null:
+        elif armed(self.crash_model):
             decision = self.crash_model.decide(
                 CrashContext(
                     worker_id=vm.vm_id,

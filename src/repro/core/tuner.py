@@ -13,7 +13,7 @@ import hashlib
 import os
 import pickle
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Any, List, Optional, Tuple
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from repro.faults import (
     build_fault_model,
     build_partition_model,
 )
+from repro.faults.base import Perturbation, armed
 from repro.ml.metrics import coefficient_of_variation, relative_range
 from repro.systems.base import SystemUnderTest
 from repro.workloads.base import Workload
@@ -385,43 +386,25 @@ class TuningLoop:
         self._active_state: Optional[_AsyncRunState] = None
         self._resume_state: Optional[_AsyncRunState] = None
         self._probe_armed = False
-        fault_active = self.fault_model is not None and not self.fault_model.is_null
-        if fault_active and (batch_size is None or batch_size < 2):
-            raise ValueError(
-                "an active fault model requires batch_size >= 2: the "
-                "sequential and lockstep paths are the bit-for-bit "
-                "equivalence gates and stay uninjected"
+        if batch_size is None or batch_size < 2:
+            families: Tuple[Optional[Perturbation[Any, Any]], ...] = (
+                self.fault_model,
+                self.crash_model,
+                self.partition_model,
+                self.corruption_model,
             )
-        if self.speculation is not None and (batch_size is None or batch_size < 2):
-            raise ValueError(
-                "speculative re-execution requires batch_size >= 2 "
-                "(duplicates race on otherwise-idle workers)"
-            )
-        crash_active = self.crash_model is not None and not self.crash_model.is_null
-        if crash_active and (batch_size is None or batch_size < 2):
-            raise ValueError(
-                "an active crash model requires batch_size >= 2: the "
-                "sequential and lockstep paths are the bit-for-bit "
-                "equivalence gates and stay uninjected"
-            )
-        partition_active = (
-            self.partition_model is not None and not self.partition_model.is_null
-        )
-        if partition_active and (batch_size is None or batch_size < 2):
-            raise ValueError(
-                "an active partition model requires batch_size >= 2: the "
-                "sequential and lockstep paths are the bit-for-bit "
-                "equivalence gates and stay uninjected"
-            )
-        corruption_active = (
-            self.corruption_model is not None and not self.corruption_model.is_null
-        )
-        if corruption_active and (batch_size is None or batch_size < 2):
-            raise ValueError(
-                "an active corruption model requires batch_size >= 2: the "
-                "sequential and lockstep paths are the bit-for-bit "
-                "equivalence gates and stay uninjected"
-            )
+            for model in families:
+                if armed(model):
+                    raise ValueError(
+                        f"an active {model.family} model requires batch_size >= 2: "
+                        "the sequential and lockstep paths are the bit-for-bit "
+                        "equivalence gates and stay uninjected"
+                    )
+            if self.speculation is not None:
+                raise ValueError(
+                    "speculative re-execution requires batch_size >= 2 "
+                    "(duplicates race on otherwise-idle workers)"
+                )
         if lease_timeout is not None and batch_size is None:
             raise ValueError(
                 "liveness leases live on the asynchronous engine; set batch_size"
@@ -563,9 +546,6 @@ class TuningLoop:
                 optimizer.metrics = self.metrics
         return _AsyncRunState(engine=engine, batch_size=batch_size, lockstep=lockstep)
 
-    def _crash_active(self) -> bool:
-        return self.crash_model is not None and not self.crash_model.is_null
-
     def _handle_report(self, state: _AsyncRunState, report: IterationReport) -> None:
         workload = self.sampler.execution.workload
         report.details.setdefault("objective_unit", workload.objective.unit)
@@ -577,7 +557,7 @@ class TuningLoop:
 
     def _drive_async(self, state: _AsyncRunState) -> TuningResult:
         engine = state.engine
-        crash_active = self._crash_active()
+        crash_active = armed(self.crash_model)
         if engine.speculation is not None or (
             crash_active and engine.retry_policy is not None
         ):

@@ -14,10 +14,10 @@ like the fail-stop path, so the optimizer always receives exactly one
 finite, in-domain result per slot.
 
 :class:`CorruptResultModel` is the matching fault injector: a seeded
-per-worker model (domain tag 19, same contract as the crash and partition
-models) that corrupts a configurable fraction of measured values into NaN,
-infinity or wild out-of-domain readings — exercising the quarantine gate
-end to end.  The validator itself consumes no RNG and, on finite in-domain
+per-worker :class:`~repro.faults.base.Perturbation` (domain tag 19, like
+the crash and partition models) that corrupts a configurable fraction of
+measured values into NaN, infinity or wild out-of-domain readings —
+exercising the quarantine gate end to end.  The validator itself consumes no RNG and, on finite in-domain
 values, changes nothing: enabling validation on a clean run is bit-for-bit
 inert.
 """
@@ -26,11 +26,16 @@ from __future__ import annotations
 
 import abc
 import math
-import zlib
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Optional
 
-import numpy as np
+from repro.faults.base import (
+    NullPerturbation,
+    Perturbation,
+    RunContext,
+    build,
+    checked_rate,
+)
 
 
 @dataclass(frozen=True)
@@ -79,14 +84,8 @@ def build_validator(
     return spec
 
 
-@dataclass(frozen=True)
-class CorruptionContext:
-    """The completed run a corruption decision is drawn for."""
-
-    worker_id: str
-    start_hours: float
-    duration_hours: float
-    speculative: bool = False
+#: The completed run a corruption decision is drawn for.
+CorruptionContext = RunContext
 
 
 @dataclass(frozen=True)
@@ -119,60 +118,23 @@ class CorruptionDecision:
 SOUND = CorruptionDecision(corrupted=False)
 
 
-class CorruptionModel(abc.ABC):
-    """Base class: seeded per-worker RNG streams + the decision interface."""
+class CorruptionModel(Perturbation[CorruptionContext, CorruptionDecision]):
+    """Base class of the corruption family (domain tag 19)."""
 
-    name = "abstract"
-
-    def __init__(self, seed: Optional[int] = None) -> None:
-        self._seed = 0 if seed is None else int(seed)
-        self._streams: Dict[Tuple[str, int], np.random.Generator] = {}
-
-    @property
-    def is_null(self) -> bool:
-        """True when the model never corrupts and never consumes RNG."""
-        return False
-
-    def stream_for(self, worker_id: str, channel: int = 0) -> np.random.Generator:
-        """A worker's private corruption-RNG stream (lazily derived).
-
-        Domain tag 19 (crash 13, partition 17, windowed faults 7): the same
-        master seed yields decorrelated streams across fault domains.
-        Channel 0 carries regular submissions, channel 1 speculative
-        duplicates.
-        """
-        key = (worker_id, channel)
-        stream = self._streams.get(key)
-        if stream is None:
-            entropy = np.random.SeedSequence(
-                [self._seed, zlib.crc32(worker_id.encode("utf-8")), 19, channel]
-            )
-            stream = np.random.default_rng(entropy)
-            self._streams[key] = stream
-        return stream
-
-    def _stream(self, context: CorruptionContext) -> np.random.Generator:
-        return self.stream_for(context.worker_id, 1 if context.speculative else 0)
+    family = "corruption"
+    TAG = (19,)
 
     @abc.abstractmethod
     def decide(self, context: CorruptionContext) -> CorruptionDecision:
         """Decide whether (and how) the measured value is corrupted."""
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}(seed={self._seed})"
 
-
-class NoCorruptionModel(CorruptionModel):
+class NoCorruptionModel(
+    NullPerturbation[CorruptionContext, CorruptionDecision], CorruptionModel
+):
     """The ``"none"`` model: every measurement is sound, no RNG consumed."""
 
-    name = "none"
-
-    @property
-    def is_null(self) -> bool:
-        return True
-
-    def decide(self, context: CorruptionContext) -> CorruptionDecision:
-        return SOUND
+    outcome = SOUND
 
 
 class CorruptResultModel(CorruptionModel):
@@ -188,9 +150,7 @@ class CorruptResultModel(CorruptionModel):
 
     def __init__(self, seed: Optional[int] = None, rate: float = 0.05) -> None:
         super().__init__(seed=seed)
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError("rate must be in [0, 1]")
-        self.rate = float(rate)
+        self.rate = checked_rate(rate)
 
     def decide(self, context: CorruptionContext) -> CorruptionDecision:
         rng = self._stream(context)
@@ -220,15 +180,5 @@ def build_corruption_model(
     seed: Optional[int] = None,
     **kwargs: Any,
 ) -> Optional[CorruptionModel]:
-    """Instantiate a corruption model by name; instances/None pass through."""
-    if spec is None or isinstance(spec, CorruptionModel):
-        return spec
-    name = str(spec).lower()
-    if name not in CORRUPTION_MODELS:
-        raise KeyError(
-            f"unknown corruption model {spec!r}; known: {sorted(CORRUPTION_MODELS)}"
-        )
-    cls = CORRUPTION_MODELS[name]
-    if cls is NoCorruptionModel:
-        return NoCorruptionModel()
-    return cls(seed=seed, **kwargs)
+    """Instantiate a corruption model by name (see :func:`repro.faults.base.build`)."""
+    return build(spec, CorruptionModel.family, CORRUPTION_MODELS, seed, **kwargs)

@@ -19,13 +19,15 @@ Guarantees:
   seed and submission sequence yield identical stretches regardless of how
   many workers exist or in which order they are queried.
 
-See :mod:`repro.faults.models` for the duration models,
-:mod:`repro.faults.straggler` for detection/speculation,
-:mod:`repro.faults.crash` for fail-stop crash injection (transient mid-run
-errors, permanent node death), and :mod:`repro.faults.partition` for
-gray-failure silence injection (stalls, partitions, flaky reconnects —
-reports delayed instead of runs killed) — the same two guarantees hold in
-each, with the ``"none"`` model as the no-RNG equivalence anchor.
+All four fault families — :mod:`repro.faults.models` (duration
+stretches), :mod:`repro.faults.crash` (fail-stop crashes: transient mid-run
+errors, permanent node death), :mod:`repro.faults.partition` (gray-failure
+silences: stalls, partitions, flaky reconnects — reports delayed instead of
+runs killed) and :mod:`repro.core.validation` (corrupted results) — derive
+from :class:`~repro.faults.base.Perturbation`, which implements both
+guarantees once: the per-worker streams (one ``SeedSequence`` domain tag
+per family), the ``"none"`` model, the composite and the name registry
+builder.  :mod:`repro.faults.straggler` holds detection and speculation.
 """
 
 from repro.faults.crash import (

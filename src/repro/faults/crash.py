@@ -14,46 +14,32 @@ machinery (retry with backoff, rerouting, crash-penalty surfacing) lives in
 
 Determinism contract
 --------------------
-Same discipline as the duration models: each model owns independent seeded
-RNG streams **per worker** (speculative duplicates on a separate channel),
-consumed a fixed number of times per decision regardless of the branch
-taken, so a fixed seed reproduces the crash trace exactly and mitigation
-never perturbs the draws regular submissions would have seen.
-:class:`NoCrashModel` consumes no randomness at all — injecting it is
-guaranteed to reproduce uninjected trajectories bit-for-bit.
+The per-worker streams (domain tag 13), the null model and the composite are
+the shared ones of :mod:`repro.faults.base`.  Each model consumes its stream
+a fixed number of times per decision regardless of the branch taken, so a
+fixed seed reproduces the crash trace exactly.
 """
 
 from __future__ import annotations
 
 import abc
 import math
-import zlib
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional
 
-import numpy as np
+from repro.faults.base import (
+    CompositePerturbation,
+    NullPerturbation,
+    Perturbation,
+    RunContext,
+    build,
+    checked_rate,
+)
 
 
-@dataclass(frozen=True)
-class CrashContext:
-    """The scheduled window a crash decision is drawn for.
-
-    ``duration_hours`` is the item's *scheduled* duration — after any
-    duration-model stretch — so hazard models see the same exposure window
-    the event loop does.  ``speculative`` marks a straggler-mitigation
-    duplicate; models draw those from a separate per-worker channel, exactly
-    like the duration models, so arming speculation never shifts the crash
-    trace of regular work.
-    """
-
-    worker_id: str
-    start_hours: float
-    duration_hours: float
-    speculative: bool = False
-
-    @property
-    def finish_hours(self) -> float:
-        return self.start_hours + self.duration_hours
+#: The scheduled window a crash decision is drawn for (``duration_hours``
+#: is the item's duration after any duration-model stretch).
+CrashContext = RunContext
 
 
 @dataclass(frozen=True)
@@ -76,50 +62,18 @@ class CrashDecision:
 SURVIVES = CrashDecision(failed=False)
 
 
-class CrashModel(abc.ABC):
-    """Base class: seeded per-worker RNG streams + the decision interface."""
+class CrashModel(Perturbation[CrashContext, CrashDecision]):
+    """Base class of the crash family (domain tag 13)."""
 
-    name = "abstract"
-
-    def __init__(self, seed: Optional[int] = None) -> None:
-        self._seed = 0 if seed is None else int(seed)
-        self._streams: Dict[Tuple[str, int], np.random.Generator] = {}
-
-    @property
-    def is_null(self) -> bool:
-        """True when the model never fails anything and never consumes RNG."""
-        return False
-
-    def stream_for(self, worker_id: str, channel: int = 0) -> np.random.Generator:
-        """A worker's private crash-RNG stream (lazily derived, order-stable).
-
-        The entropy mixes the master seed, a stable hash of the worker id,
-        a crash-domain tag (so a crash model and a duration model built from
-        the same master seed stay decorrelated) and the channel: channel 0
-        carries regular submissions, channel 1 speculative duplicates.
-        """
-        key = (worker_id, channel)
-        stream = self._streams.get(key)
-        if stream is None:
-            entropy = np.random.SeedSequence(
-                [self._seed, zlib.crc32(worker_id.encode("utf-8")), 13, channel]
-            )
-            stream = np.random.default_rng(entropy)
-            self._streams[key] = stream
-        return stream
-
-    def _stream(self, context: CrashContext) -> np.random.Generator:
-        return self.stream_for(context.worker_id, 1 if context.speculative else 0)
+    family = "crash"
+    TAG = (13,)
 
     @abc.abstractmethod
     def decide(self, context: CrashContext) -> CrashDecision:
         """Decide whether (and when) the submitted run fails."""
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}(seed={self._seed})"
 
-
-class NoCrashModel(CrashModel):
+class NoCrashModel(NullPerturbation[CrashContext, CrashDecision], CrashModel):
     """The ``"none"`` model: every run survives, no RNG consumed.
 
     The crash subsystem's signature guarantee rests on this model: injecting
@@ -127,14 +81,7 @@ class NoCrashModel(CrashModel):
     seeds, which is trivially auditable because it touches nothing.
     """
 
-    name = "none"
-
-    @property
-    def is_null(self) -> bool:
-        return True
-
-    def decide(self, context: CrashContext) -> CrashDecision:
-        return SURVIVES
+    outcome = SURVIVES
 
 
 class TransientCrashModel(CrashModel):
@@ -152,9 +99,7 @@ class TransientCrashModel(CrashModel):
 
     def __init__(self, seed: Optional[int] = None, rate: float = 0.05) -> None:
         super().__init__(seed=seed)
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError("rate must be in [0, 1]")
-        self.rate = float(rate)
+        self.rate = checked_rate(rate)
 
     def decide(self, context: CrashContext) -> CrashDecision:
         rng = self._stream(context)
@@ -227,25 +172,12 @@ class NodeDeathModel(CrashModel):
         )
 
 
-class CompositeCrashModel(CrashModel):
+class CompositeCrashModel(
+    CompositePerturbation[CrashContext, CrashDecision], CrashModel
+):
     """Several crash hazards at once: the earliest failure wins."""
 
-    name = "composite"
-
-    def __init__(self, models: Sequence[CrashModel]) -> None:
-        if not models:
-            raise ValueError("composite needs at least one model")
-        super().__init__(seed=0)
-        self.models = list(models)
-
-    @property
-    def is_null(self) -> bool:
-        return all(model.is_null for model in self.models)
-
-    def decide(self, context: CrashContext) -> CrashDecision:
-        # Every member model draws unconditionally (fixed stream positions);
-        # among the failures, the earliest instant decides the outcome.
-        decisions = [model.decide(context) for model in self.models]
+    def combine(self, decisions: List[CrashDecision]) -> CrashDecision:
         failed = [d for d in decisions if d.failed]
         if not failed:
             return SURVIVES
@@ -291,21 +223,5 @@ def build_crash_model(
     seed: Optional[int] = None,
     **kwargs: Any,
 ) -> Optional[CrashModel]:
-    """Instantiate a crash model by name; instances and ``None`` pass through.
-
-    ``"none"`` returns a :class:`NoCrashModel` (injected, but guaranteed to
-    change nothing); ``None`` returns ``None`` (nothing injected at all) —
-    behaviourally identical by construction, mirroring
-    :func:`~repro.faults.models.build_fault_model`.
-    """
-    if spec is None or isinstance(spec, CrashModel):
-        return spec
-    name = str(spec).lower()
-    if name not in CRASH_MODELS:
-        raise KeyError(
-            f"unknown crash model {spec!r}; known: {sorted(CRASH_MODELS)}"
-        )
-    cls = CRASH_MODELS[name]
-    if cls is NoCrashModel:
-        return NoCrashModel()
-    return cls(seed=seed, **kwargs)
+    """Instantiate a crash model by name (see :func:`repro.faults.base.build`)."""
+    return build(spec, CrashModel.family, CRASH_MODELS, seed, **kwargs)

@@ -9,23 +9,29 @@ multiplication by 1.0 is exact).
 
 Determinism contract
 --------------------
-Each model owns one independent RNG stream **per worker**, derived from the
-master seed and a stable hash of the worker id.  A worker's stream is
-consumed once per submission on that worker, in submission order — which the
-event loop fixes — so a fixed seed reproduces a run exactly, and adding or
-removing *other* workers never perturbs a worker's own draw sequence.
-:class:`NoFaultModel` consumes no randomness at all, which is what makes the
-``"none"`` equivalence guarantee trivial to audit.
+The per-worker streams, the null model and the composite are the shared
+ones of :mod:`repro.faults.base`; duration models use the empty domain tag.
+A worker's stream is consumed once per submission on that worker, in
+submission order — which the event loop fixes — so a fixed seed reproduces
+a run exactly, and adding or removing *other* workers never perturbs a
+worker's own draw sequence.
 """
 
 from __future__ import annotations
 
 import abc
-import zlib
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional
 
 import numpy as np
+
+from repro.faults.base import (
+    CompositePerturbation,
+    NullPerturbation,
+    Perturbation,
+    build,
+    checked_rate,
+)
 
 
 @dataclass(frozen=True)
@@ -55,42 +61,13 @@ class FaultContext:
         return self.concurrent_items / max(self.n_workers, 1)
 
 
-class FaultModel(abc.ABC):
-    """Base class: seeded per-worker RNG streams + the stretch interface."""
+class FaultModel(Perturbation[FaultContext, float]):
+    """Base class of the duration family: :meth:`stretch` is its decision."""
 
-    name = "abstract"
+    family = "fault"
 
-    def __init__(self, seed: Optional[int] = None) -> None:
-        self._seed = 0 if seed is None else int(seed)
-        self._streams: Dict[Tuple[str, int], np.random.Generator] = {}
-
-    @property
-    def is_null(self) -> bool:
-        """True when the model never stretches and never consumes RNG."""
-        return False
-
-    def stream_for(self, worker_id: str, channel: int = 0) -> np.random.Generator:
-        """A worker's private RNG stream (lazily derived, order-stable).
-
-        The stream seed mixes the master seed, a stable hash of the worker
-        id and the channel, so it depends neither on how many workers exist
-        nor on first-query order.  Channel 0 carries regular submissions;
-        channel 1 carries speculative duplicates, so mitigation never
-        perturbs the fault trace regular work would have drawn.
-        """
-        key = (worker_id, channel)
-        stream = self._streams.get(key)
-        if stream is None:
-            entropy = np.random.SeedSequence(
-                [self._seed, zlib.crc32(worker_id.encode("utf-8")), channel]
-            )
-            stream = np.random.default_rng(entropy)
-            self._streams[key] = stream
-        return stream
-
-    def _stream(self, context: FaultContext) -> np.random.Generator:
-        """The stream a draw for this submission should come from."""
-        return self.stream_for(context.worker_id, 1 if context.speculative else 0)
+    def decide(self, context: FaultContext) -> float:
+        return self.stretch(context)
 
     def _window_rng(
         self, context: FaultContext, window_hours: float
@@ -105,31 +82,21 @@ class FaultModel(abc.ABC):
         lands where.
         """
         window = int(context.start_hours // window_hours)
-        entropy = np.random.SeedSequence(
-            [self._seed, zlib.crc32(context.worker_id.encode("utf-8")), 7, window]
-        )
-        return np.random.default_rng(entropy)
+        return self._derive(context.worker_id, 7, window)
 
     @abc.abstractmethod
     def stretch(self, context: FaultContext) -> float:
         """Multiplicative duration stretch (>= some small positive bound)."""
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}(seed={self._seed})"
 
-
-class NoFaultModel(FaultModel):
+class NoFaultModel(NullPerturbation[FaultContext, float], FaultModel):
     """The ``"none"`` model: every stretch is exactly 1.0, no RNG consumed.
 
     This is the model behind the repo's signature guarantee — injecting it
     must reproduce existing trajectories bit-for-bit under the same seeds.
     """
 
-    name = "none"
-
-    @property
-    def is_null(self) -> bool:
-        return True
+    outcome = 1.0
 
     def stretch(self, context: FaultContext) -> float:
         return 1.0
@@ -165,13 +132,13 @@ class LognormalTailModel(FaultModel):
         window_hours: Optional[float] = None,
     ) -> None:
         super().__init__(seed=seed)
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError("rate must be in [0, 1]")
+        self.rate = checked_rate(rate)
         if sigma <= 0 or scale <= 0:
             raise ValueError("sigma and scale must be positive")
         if window_hours is not None and window_hours <= 0:
             raise ValueError("window_hours must be positive")
-        self.rate = float(rate)
+        if max_stretch < 1.0:
+            raise ValueError("max_stretch must be >= 1.0 (a fault never speeds up)")
         self.sigma = float(sigma)
         self.scale = float(scale)
         self.max_stretch = float(max_stretch)
@@ -212,11 +179,11 @@ class InterferenceBurstModel(FaultModel):
         max_extra: float = 6.0,
     ) -> None:
         super().__init__(seed=seed)
-        if not 0.0 <= base_rate <= 1.0:
-            raise ValueError("base_rate must be in [0, 1]")
+        self.base_rate = checked_rate(base_rate, "base_rate")
         if coupling < 0 or magnitude <= 0:
             raise ValueError("coupling must be >= 0 and magnitude > 0")
-        self.base_rate = float(base_rate)
+        if max_extra < 0:
+            raise ValueError("max_extra must be >= 0 (a fault never speeds up)")
         self.coupling = float(coupling)
         self.magnitude = float(magnitude)
         self.max_extra = float(max_extra)
@@ -290,25 +257,16 @@ class BrownoutModel(FaultModel):
         return bool(state[0]) if state is not None else False
 
 
-class CompositeFaultModel(FaultModel):
+class CompositeFaultModel(CompositePerturbation[FaultContext, float], FaultModel):
     """Product of several fault models (e.g. heavy tail on top of brownouts)."""
 
-    name = "composite"
-
-    def __init__(self, models: Sequence[FaultModel]) -> None:
-        if not models:
-            raise ValueError("composite needs at least one model")
-        super().__init__(seed=0)
-        self.models = list(models)
-
-    @property
-    def is_null(self) -> bool:
-        return all(model.is_null for model in self.models)
-
     def stretch(self, context: FaultContext) -> float:
+        return self.decide(context)
+
+    def combine(self, decisions: List[float]) -> float:
         factor = 1.0
-        for model in self.models:
-            factor *= model.stretch(context)
+        for stretch in decisions:
+            factor *= stretch
         return factor
 
 
@@ -327,20 +285,5 @@ def build_fault_model(
     seed: Optional[int] = None,
     **kwargs: Any,
 ) -> Optional[FaultModel]:
-    """Instantiate a fault model by name; instances and ``None`` pass through.
-
-    ``"none"`` returns a :class:`NoFaultModel` (injected, but guaranteed to
-    change nothing); ``None`` returns ``None`` (nothing injected at all) —
-    the two are behaviourally identical by construction.
-    """
-    if spec is None or isinstance(spec, FaultModel):
-        return spec
-    name = str(spec).lower()
-    if name not in FAULT_MODELS:
-        raise KeyError(
-            f"unknown fault model {spec!r}; known: {sorted(FAULT_MODELS)}"
-        )
-    cls = FAULT_MODELS[name]
-    if cls is NoFaultModel:
-        return NoFaultModel()
-    return cls(seed=seed, **kwargs)
+    """Instantiate a fault model by name (see :func:`repro.faults.base.build`)."""
+    return build(spec, FaultModel.family, FAULT_MODELS, seed, **kwargs)

@@ -32,46 +32,33 @@ Three hazard shapes:
 
 Determinism contract
 --------------------
-Identical to the crash models: independent seeded RNG streams **per
-worker** (speculative duplicates on channel 1), domain tag 17 so a
-partition model built from the same master seed as a crash/duration model
-stays decorrelated, a fixed number of draws per decision regardless of the
-branch taken, and a :class:`NoPartitionModel` that consumes no randomness
-at all — injecting ``"none"`` reproduces uninjected trajectories
-bit-for-bit.
+The per-worker streams (domain tag 17), the null model and the composite
+are the shared ones of :mod:`repro.faults.base`.  Each model takes a fixed
+number of draws per decision regardless of the branch taken.
 """
 
 from __future__ import annotations
 
 import abc
-import zlib
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
+from repro.faults.base import (
+    CompositePerturbation,
+    NullPerturbation,
+    Perturbation,
+    RunContext,
+    build,
+    checked_rate,
+)
 
-@dataclass(frozen=True)
-class PartitionContext:
-    """The scheduled window a partition decision is drawn for.
 
-    ``duration_hours`` is the item's *final* scheduled duration — after any
-    duration-model stretch, and up to the failure instant for an item a
-    crash model already killed — so silence onsets land inside the window
-    the event loop actually simulates.  ``speculative`` duplicates draw
-    from a separate per-worker channel, exactly like the other fault
-    domains, so arming speculation never shifts the partition trace of
-    regular work.
-    """
-
-    worker_id: str
-    start_hours: float
-    duration_hours: float
-    speculative: bool = False
-
-    @property
-    def finish_hours(self) -> float:
-        return self.start_hours + self.duration_hours
+#: The scheduled window a partition decision is drawn for (``duration_hours``
+#: is the item's final duration: after any stretch, and up to the failure
+#: instant of an item a crash model already killed).
+PartitionContext = RunContext
 
 
 @dataclass(frozen=True)
@@ -96,51 +83,35 @@ class PartitionDecision:
 RESPONSIVE = PartitionDecision(delayed=False)
 
 
-class PartitionModel(abc.ABC):
-    """Base class: seeded per-worker RNG streams + the decision interface."""
+def _silence(
+    rng: np.random.Generator, rate: float, mean_hours: float, kind: str
+) -> PartitionDecision:
+    """A silence of ``Exp(mean_hours)`` with probability ``rate``, starting at
+    a uniform point of the run: three draws, taken unconditionally."""
+    hit = rng.random() < rate
+    delay = float(rng.exponential(mean_hours))
+    fraction = float(rng.random())
+    if not hit:
+        return RESPONSIVE
+    return PartitionDecision(
+        delayed=True, delay_hours=delay, silent_fraction=fraction, kind=kind
+    )
 
-    name = "abstract"
 
-    def __init__(self, seed: Optional[int] = None) -> None:
-        self._seed = 0 if seed is None else int(seed)
-        self._streams: Dict[Tuple[str, int], np.random.Generator] = {}
+class PartitionModel(Perturbation[PartitionContext, PartitionDecision]):
+    """Base class of the partition family (domain tag 17)."""
 
-    @property
-    def is_null(self) -> bool:
-        """True when the model never delays anything and never consumes RNG."""
-        return False
-
-    def stream_for(self, worker_id: str, channel: int = 0) -> np.random.Generator:
-        """A worker's private partition-RNG stream (lazily derived).
-
-        The entropy mixes the master seed, a stable hash of the worker id,
-        the partition-domain tag 17 (crash models use 13, windowed duration
-        faults 7 — same master seed, decorrelated streams) and the channel:
-        channel 0 carries regular submissions, channel 1 speculative
-        duplicates.
-        """
-        key = (worker_id, channel)
-        stream = self._streams.get(key)
-        if stream is None:
-            entropy = np.random.SeedSequence(
-                [self._seed, zlib.crc32(worker_id.encode("utf-8")), 17, channel]
-            )
-            stream = np.random.default_rng(entropy)
-            self._streams[key] = stream
-        return stream
-
-    def _stream(self, context: PartitionContext) -> np.random.Generator:
-        return self.stream_for(context.worker_id, 1 if context.speculative else 0)
+    family = "partition"
+    TAG = (17,)
 
     @abc.abstractmethod
     def decide(self, context: PartitionContext) -> PartitionDecision:
         """Decide whether (and how) the submitted run's report is delayed."""
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}(seed={self._seed})"
 
-
-class NoPartitionModel(PartitionModel):
+class NoPartitionModel(
+    NullPerturbation[PartitionContext, PartitionDecision], PartitionModel
+):
     """The ``"none"`` model: every report arrives on time, no RNG consumed.
 
     The gray-failure subsystem's signature guarantee rests on this model:
@@ -148,14 +119,7 @@ class NoPartitionModel(PartitionModel):
     same seeds, which is trivially auditable because it touches nothing.
     """
 
-    name = "none"
-
-    @property
-    def is_null(self) -> bool:
-        return True
-
-    def decide(self, context: PartitionContext) -> PartitionDecision:
-        return RESPONSIVE
+    outcome = RESPONSIVE
 
 
 class StallModel(PartitionModel):
@@ -178,26 +142,13 @@ class StallModel(PartitionModel):
         mean_stall_hours: float = 0.25,
     ) -> None:
         super().__init__(seed=seed)
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError("rate must be in [0, 1]")
+        self.rate = checked_rate(rate)
         if mean_stall_hours <= 0:
             raise ValueError("mean_stall_hours must be positive")
-        self.rate = float(rate)
         self.mean_stall_hours = float(mean_stall_hours)
 
     def decide(self, context: PartitionContext) -> PartitionDecision:
-        rng = self._stream(context)
-        hit = rng.random() < self.rate
-        delay = float(rng.exponential(self.mean_stall_hours))
-        fraction = float(rng.random())
-        if not hit:
-            return RESPONSIVE
-        return PartitionDecision(
-            delayed=True,
-            delay_hours=delay,
-            silent_fraction=fraction,
-            kind="stall",
-        )
+        return _silence(self._stream(context), self.rate, self.mean_stall_hours, "stall")
 
 
 class PartitionOutageModel(PartitionModel):
@@ -219,26 +170,13 @@ class PartitionOutageModel(PartitionModel):
         mean_outage_hours: float = 1.0,
     ) -> None:
         super().__init__(seed=seed)
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError("rate must be in [0, 1]")
+        self.rate = checked_rate(rate)
         if mean_outage_hours <= 0:
             raise ValueError("mean_outage_hours must be positive")
-        self.rate = float(rate)
         self.mean_outage_hours = float(mean_outage_hours)
 
     def decide(self, context: PartitionContext) -> PartitionDecision:
-        rng = self._stream(context)
-        hit = rng.random() < self.rate
-        delay = float(rng.exponential(self.mean_outage_hours))
-        fraction = float(rng.random())
-        if not hit:
-            return RESPONSIVE
-        return PartitionDecision(
-            delayed=True,
-            delay_hours=delay,
-            silent_fraction=fraction,
-            kind="partition",
-        )
+        return _silence(self._stream(context), self.rate, self.mean_outage_hours, "partition")
 
 
 class FlakyReconnectModel(PartitionModel):
@@ -262,13 +200,11 @@ class FlakyReconnectModel(PartitionModel):
         max_blips: int = 3,
     ) -> None:
         super().__init__(seed=seed)
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError("rate must be in [0, 1]")
+        self.rate = checked_rate(rate)
         if blip_hours <= 0:
             raise ValueError("blip_hours must be positive")
         if max_blips < 1:
             raise ValueError("max_blips must be >= 1")
-        self.rate = float(rate)
         self.blip_hours = float(blip_hours)
         self.max_blips = int(max_blips)
 
@@ -287,29 +223,17 @@ class FlakyReconnectModel(PartitionModel):
         )
 
 
-class CompositePartitionModel(PartitionModel):
+class CompositePartitionModel(
+    CompositePerturbation[PartitionContext, PartitionDecision], PartitionModel
+):
     """Several silence hazards at once: the longest silence dominates.
 
-    Every member model draws unconditionally (fixed stream positions);
-    among the delayed decisions the one with the largest delay wins —
+    Among the delayed decisions the one with the largest delay wins —
     overlapping outages do not add, the worker is simply unreachable until
     the last one heals.  Ties break on member order (deterministic).
     """
 
-    name = "composite"
-
-    def __init__(self, models: Sequence[PartitionModel]) -> None:
-        if not models:
-            raise ValueError("composite needs at least one model")
-        super().__init__(seed=0)
-        self.models = list(models)
-
-    @property
-    def is_null(self) -> bool:
-        return all(model.is_null for model in self.models)
-
-    def decide(self, context: PartitionContext) -> PartitionDecision:
-        decisions = [model.decide(context) for model in self.models]
+    def combine(self, decisions: List[PartitionDecision]) -> PartitionDecision:
         delayed = [d for d in decisions if d.delayed]
         if not delayed:
             return RESPONSIVE
@@ -362,21 +286,5 @@ def build_partition_model(
     seed: Optional[int] = None,
     **kwargs: Any,
 ) -> Optional[PartitionModel]:
-    """Instantiate a partition model by name; instances/None pass through.
-
-    ``"none"`` returns a :class:`NoPartitionModel` (injected, but
-    guaranteed to change nothing); ``None`` returns ``None`` (nothing
-    injected at all) — behaviourally identical by construction, mirroring
-    :func:`~repro.faults.crash.build_crash_model`.
-    """
-    if spec is None or isinstance(spec, PartitionModel):
-        return spec
-    name = str(spec).lower()
-    if name not in PARTITION_MODELS:
-        raise KeyError(
-            f"unknown partition model {spec!r}; known: {sorted(PARTITION_MODELS)}"
-        )
-    cls = PARTITION_MODELS[name]
-    if cls is NoPartitionModel:
-        return NoPartitionModel()
-    return cls(seed=seed, **kwargs)
+    """Instantiate a partition model by name (see :func:`repro.faults.base.build`)."""
+    return build(spec, PartitionModel.family, PARTITION_MODELS, seed, **kwargs)

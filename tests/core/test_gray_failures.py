@@ -33,11 +33,8 @@ from repro.core.validation import (
     CorruptionDecision,
     CorruptionModel,
     CorruptResultModel,
-    NoCorruptionModel,
-    build_corruption_model,
 )
 from repro.faults import (
-    NoPartitionModel,
     PartitionDecision,
     PartitionModel,
 )
@@ -259,12 +256,6 @@ class TestCorruptionModels:
         assert math.isfinite(wild) and wild == 5.0 * 1e9
         assert CorruptionDecision(False).apply(5.0) == 5.0
 
-    def test_null_model_is_structurally_inert(self):
-        model = NoCorruptionModel()
-        model.decide(CorruptionContext("worker-0", 0.0, 1.0))
-        assert model.is_null
-        assert model._streams == {}
-
     def test_seeded_reproducibility_and_fixed_draws(self):
         a = CorruptResultModel(seed=3, rate=0.5)
         b = CorruptResultModel(seed=3, rate=0.5)
@@ -281,15 +272,6 @@ class TestCorruptionModels:
             rng.random()
             rng.random()
         assert a.decide(ctxs[0]) == reference.decide(ctxs[0])
-
-    def test_build_corruption_model(self):
-        assert isinstance(build_corruption_model("none"), NoCorruptionModel)
-        assert isinstance(
-            build_corruption_model("corrupt_result", seed=1), CorruptResultModel
-        )
-        assert build_corruption_model(None) is None
-        with pytest.raises(KeyError):
-            build_corruption_model("bitrot")
 
 
 # -- fencing: suspicion, re-submission, zombie rejection ----------------------

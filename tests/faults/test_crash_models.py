@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from repro.faults import (
-    CRASH_MODELS,
     CompositeCrashModel,
     CrashContext,
     CrashDecision,
     CrashModel,
-    NoCrashModel,
     NodeDeathModel,
     TransientCrashModel,
     build_crash_model,
@@ -23,22 +21,6 @@ def ctx(worker="worker-0", start=0.0, duration=1.0, speculative=False):
         duration_hours=duration,
         speculative=speculative,
     )
-
-
-class TestNoCrashModel:
-    def test_always_survives(self):
-        model = NoCrashModel()
-        for i in range(50):
-            decision = model.decide(ctx(start=float(i)))
-            assert not decision.failed
-
-    def test_is_null_and_consumes_no_rng(self):
-        model = NoCrashModel()
-        model.decide(ctx())
-        assert model.is_null
-        # The null model must never materialise a stream: structural
-        # inertness, not merely behavioural.
-        assert model._streams == {}
 
 
 class TestTransientCrashModel:
@@ -153,34 +135,8 @@ class TestCompositeCrashModel:
         assert decision.failed
         assert decision.fail_at_hours == 1.0
 
-    def test_null_only_when_all_members_null(self):
-        assert CompositeCrashModel([NoCrashModel(), NoCrashModel()]).is_null
-        assert not CompositeCrashModel(
-            [NoCrashModel(), TransientCrashModel(seed=0)]
-        ).is_null
-
-    def test_needs_members(self):
-        with pytest.raises(ValueError):
-            CompositeCrashModel([])
-
 
 class TestBuildCrashModel:
-    def test_registry_names(self):
-        assert build_crash_model(None) is None
-        assert isinstance(build_crash_model("none"), NoCrashModel)
-        assert isinstance(build_crash_model("transient", seed=1), TransientCrashModel)
-        assert isinstance(build_crash_model("node-death", seed=1), NodeDeathModel)
-        assert isinstance(build_crash_model("mtbf", seed=1), NodeDeathModel)
-        assert set(CRASH_MODELS) == {"none", "transient", "node-death", "weibull", "mtbf"}
-
-    def test_instances_pass_through(self):
-        model = TransientCrashModel(seed=2)
-        assert build_crash_model(model) is model
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(KeyError):
-            build_crash_model("meteor-strike")
-
     def test_kwargs_forwarded(self):
         model = build_crash_model("transient", seed=1, rate=0.42)
         assert model.rate == 0.42

@@ -1,10 +1,8 @@
 """Tests for the stochastic fault models and the straggler detector."""
 
-import numpy as np
 import pytest
 
 from repro.faults import (
-    FAULT_MODELS,
     BrownoutModel,
     CompositeFaultModel,
     FaultContext,
@@ -28,18 +26,6 @@ def ctx(worker="worker-0", start=0.0, duration=0.1, concurrent=0, n_workers=10, 
         n_workers=n_workers,
         speculative=speculative,
     )
-
-
-class TestNoFaultModel:
-    def test_always_unity_and_null(self):
-        model = NoFaultModel()
-        assert model.is_null
-        assert all(model.stretch(ctx(start=t)) == 1.0 for t in (0.0, 5.0, 100.0))
-
-    def test_consumes_no_rng(self):
-        model = NoFaultModel()
-        model.stretch(ctx())
-        assert model._streams == {}
 
 
 class TestLognormalTailModel:
@@ -88,6 +74,9 @@ class TestLognormalTailModel:
             LognormalTailModel(rate=1.5)
         with pytest.raises(ValueError):
             LognormalTailModel(sigma=0.0)
+        with pytest.raises(ValueError, match="max_stretch"):
+            LognormalTailModel(max_stretch=0.5)
+        assert LognormalTailModel(max_stretch=1.0).max_stretch == 1.0
 
 
 class TestInterferenceBurstModel:
@@ -103,6 +92,15 @@ class TestInterferenceBurstModel:
     def test_burst_magnitude_is_capped(self):
         model = InterferenceBurstModel(seed=0, base_rate=1.0, max_extra=2.0)
         assert all(model.stretch(ctx()) <= 3.0 for _ in range(200))
+
+    def test_parameter_validation(self):
+        with pytest.raises(ValueError):
+            InterferenceBurstModel(base_rate=1.5)
+        with pytest.raises(ValueError, match="max_extra"):
+            InterferenceBurstModel(max_extra=-0.9)
+        # A zero cap is legal: every burst collapses to a clean run.
+        model = InterferenceBurstModel(seed=0, base_rate=1.0, max_extra=0.0)
+        assert all(model.stretch(ctx()) == 1.0 for _ in range(20))
 
 
 class TestBrownoutModel:
@@ -131,23 +129,6 @@ class TestCompositeAndRegistry:
         assert not model.is_null
         assert model.stretch(ctx()) > 1.0
         assert CompositeFaultModel([NoFaultModel()]).is_null
-
-    def test_composite_requires_models(self):
-        with pytest.raises(ValueError):
-            CompositeFaultModel([])
-
-    def test_build_by_name(self):
-        assert isinstance(build_fault_model("none"), NoFaultModel)
-        assert isinstance(build_fault_model("lognormal", seed=1), LognormalTailModel)
-        assert isinstance(build_fault_model("heavy-tail", seed=1), LognormalTailModel)
-        assert isinstance(build_fault_model("interference"), InterferenceBurstModel)
-        assert isinstance(build_fault_model("brownout"), BrownoutModel)
-        assert build_fault_model(None) is None
-        instance = LognormalTailModel(seed=9)
-        assert build_fault_model(instance) is instance
-        with pytest.raises(KeyError):
-            build_fault_model("cosmic-rays")
-        assert set(FAULT_MODELS) >= {"none", "lognormal", "interference", "brownout"}
 
     def test_kwargs_forwarded(self):
         model = build_fault_model("lognormal", seed=0, rate=0.5, scale=3.0)

@@ -1,20 +1,16 @@
 """Unit tests for the gray-failure partition models."""
 
-import numpy as np
 import pytest
 
 from repro.faults import (
-    PARTITION_MODELS,
     CompositePartitionModel,
     FlakyReconnectModel,
-    NoPartitionModel,
     PartitionContext,
     PartitionDecision,
     PartitionModel,
     PartitionOutageModel,
     PartitionStats,
     StallModel,
-    build_partition_model,
 )
 
 
@@ -27,21 +23,6 @@ def ctx(worker="worker-0", start=0.0, duration=1.0, speculative=False):
     )
 
 
-class TestNoPartitionModel:
-    def test_always_responsive(self):
-        model = NoPartitionModel()
-        for i in range(50):
-            decision = model.decide(ctx(start=float(i)))
-            assert not decision.delayed
-
-    def test_is_null_and_consumes_no_rng(self):
-        model = NoPartitionModel()
-        model.decide(ctx())
-        assert model.is_null
-        # Structural inertness: the null model never materialises a stream.
-        assert model._streams == {}
-
-
 @pytest.mark.parametrize(
     "model_cls,kind",
     [
@@ -50,6 +31,8 @@ class TestNoPartitionModel:
         (FlakyReconnectModel, "flaky"),
     ],
 )
+
+
 class TestActiveModels:
     def test_seeded_reproducibility(self, model_cls, kind):
         a = model_cls(seed=3, rate=0.4)
@@ -151,30 +134,6 @@ class TestCompositePartitionModel:
         decision = composite.decide(ctx())
         assert decision.delayed and decision.delay_hours == 2.0
 
-    def test_all_members_draw_unconditionally(self):
-        """Member stream positions must not depend on sibling outcomes."""
-        solo = StallModel(seed=4, rate=0.5)
-        member = StallModel(seed=4, rate=0.5)
-        composite = CompositePartitionModel(
-            [PartitionOutageModel(seed=11, rate=1.0), member]
-        )
-        solo_decisions = [solo.decide(ctx(start=float(i))) for i in range(30)]
-        for i in range(30):
-            composite.decide(ctx(start=float(i)))
-        # After 30 composite decisions the member's stream sits exactly where
-        # the solo model's does.
-        assert member.decide(ctx(start=99.0)) == solo.decide(ctx(start=99.0))
-
-    def test_null_iff_all_members_null(self):
-        assert CompositePartitionModel([NoPartitionModel()]).is_null
-        assert not CompositePartitionModel(
-            [NoPartitionModel(), StallModel(seed=0)]
-        ).is_null
-
-    def test_needs_at_least_one_member(self):
-        with pytest.raises(ValueError):
-            CompositePartitionModel([])
-
 
 class TestPartitionStats:
     def test_record_classifies_by_kind(self):
@@ -190,37 +149,4 @@ class TestPartitionStats:
             "n_outages": 1,
             "n_flaky": 1,
             "total_delay_hours": pytest.approx(2.1),
-        }
-
-
-class TestBuildPartitionModel:
-    def test_registry_names(self):
-        assert isinstance(build_partition_model("none"), NoPartitionModel)
-        assert isinstance(build_partition_model("stall", seed=1), StallModel)
-        assert isinstance(
-            build_partition_model("partition", seed=1), PartitionOutageModel
-        )
-        assert isinstance(build_partition_model("outage", seed=1), PartitionOutageModel)
-        assert isinstance(build_partition_model("flaky", seed=1), FlakyReconnectModel)
-        assert isinstance(
-            build_partition_model("reconnect", seed=1), FlakyReconnectModel
-        )
-
-    def test_instance_and_none_pass_through(self):
-        model = StallModel(seed=0)
-        assert build_partition_model(model) is model
-        assert build_partition_model(None) is None
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(KeyError, match="unknown partition model"):
-            build_partition_model("quantum-tunnel")
-
-    def test_registry_covers_the_documented_names(self):
-        assert set(PARTITION_MODELS) == {
-            "none",
-            "stall",
-            "partition",
-            "outage",
-            "flaky",
-            "reconnect",
         }
