@@ -16,10 +16,11 @@
 #   make bench-obs        observability overhead gate + RUN_REPORT.md artifact
 #   make bench-e2e        end-to-end TUNA study benchmark, one short run per workload
 #   make bench-batch      batch-proposal quality gate (CL-min vs posterior seed panel)
+#   make bench-refit      noise-adjuster refit schedule on a study-length grid (fits + quality)
 #   make bench-compare    diff fresh BENCH_*.json against benchmarks/baselines
 #   make bench            all figure benchmarks (writes BENCH_*.json)
 
-.PHONY: test test-fast lint lint-det typecheck bench bench-surrogate bench-forest-fit bench-async bench-hetero bench-straggler bench-resilience bench-graydeg bench-eventloop bench-obs bench-e2e bench-batch bench-compare
+.PHONY: test test-fast lint lint-det typecheck bench bench-surrogate bench-forest-fit bench-async bench-hetero bench-straggler bench-resilience bench-graydeg bench-eventloop bench-obs bench-e2e bench-batch bench-refit bench-compare
 
 test:
 	./tools/run_tier1.sh
@@ -68,6 +69,9 @@ bench-e2e:
 
 bench-batch:
 	./tools/run_batch_bench.sh
+
+bench-refit:
+	./tools/run_refit_bench.sh
 
 bench-compare:
 	python tools/bench_compare.py

@@ -25,53 +25,35 @@ Run directly with::
 import statistics
 
 from bench_artifacts import write_bench_json
+from paper_study import (
+    BATCH_SIZE,
+    DEPLOY_NODES,
+    DEPLOY_ROUNDS,
+    FLEET,
+    deploy_rel_cost,
+    paper_sampler,
+)
 
-from repro.cloud import Cluster, FleetSpec
-from repro.core import ExecutionEngine, TunaSampler, TuningLoop
-from repro.core.tuner import deploy_configuration
+from repro.core import TuningLoop
 from repro.obs.metrics import MetricsRegistry
-from repro.optimizers import build_optimizer
-from repro.systems import get_system
-from repro.workloads import get_workload
 
 SEEDS = tuple(range(1, 9))
-FLEET = (("westus2", "Standard_D8s_v5", 10),)
-BATCH_SIZE = 10
 MAX_SAMPLES = 150
-#: Fresh 10-node deployments per study; the deploy cost is their median.
-DEPLOY_ROUNDS = 20
-DEPLOY_NODES = 10
 QUALITY_CEILING = 1.05
 MIN_REFIT_REDUCTION = 2.0
 
 
 def run_study(seed, liar):
     """One seeded study; returns (deploy_rel_cost, refits_per_ask)."""
-    system = get_system("postgres")
-    workload = get_workload("mssales")
-    cluster = Cluster(seed=seed, fleet=FleetSpec.of(FLEET))
-    execution = ExecutionEngine(system, workload, seed=seed)
-    optimizer = build_optimizer("smac", system.knob_space, seed=seed)
-    sampler = TunaSampler(optimizer, execution, cluster, seed=seed, liar=liar)
+    sampler = paper_sampler(seed, liar=liar)
     registry = MetricsRegistry()
     result = TuningLoop(
         sampler, max_samples=MAX_SAMPLES, batch_size=BATCH_SIZE, metrics=registry
     ).run()
-    costs = []
-    for round_ in range(DEPLOY_ROUNDS):
-        deployed = deploy_configuration(
-            system, workload, result.best_config,
-            cluster.provision_fresh_nodes(DEPLOY_NODES), seed=seed * 1000 + round_,
-        )
-        optimal = workload.optimal_performance
-        costs.append(
-            optimal / deployed.mean if workload.higher_is_better
-            else deployed.mean / optimal
-        )
     refits_per_ask = registry.counter_value(
         "optimizer.surrogate.refits"
     ) / registry.counter_value("optimizer.asks")
-    return statistics.median(costs), refits_per_ask
+    return deploy_rel_cost(sampler, result.best_config, seed), refits_per_ask
 
 
 def test_bench_batch_proposals(once):

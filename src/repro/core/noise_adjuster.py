@@ -10,27 +10,35 @@ noise-free mean.  Design decisions follow the paper:
 * it trains only on configurations that have been evaluated at the highest
   budget (those are the most reliable, and unstable configs have already been
   filtered out of them by the outlier detector);
-* it is rebuilt from scratch every time a new training point arrives (random
-  forests are cheap to train at this scale — the vectorized all-trees-at-once
-  builder in :mod:`repro.ml.treebuilder` fits the whole 24-tree forest in one
-  level-synchronous pass); rebuilds against an *unchanged* training set are
-  skipped via a :class:`~repro.ml.cache.SurrogateCache` keyed on a
-  fingerprint of the training matrix;
+* it is refitted from scratch on a geometric schedule rather than after
+  every max-budget landing: :meth:`NoiseAdjuster.train` rebuilds the forest
+  only when the usable training rows have grown by a factor of
+  :data:`REFIT_GROWTH` since the last fit, when a worker absent from that
+  fit appears, or when the rows have shrunk.  Every other round keeps the
+  fitted forest, so a study of N samples makes O(log N) fits of the
+  all-trees-at-once builder in :mod:`repro.ml.treebuilder` instead of O(N).
+  ``REFIT_GROWTH = 1.0`` is the paper's every-point schedule: every changed
+  training set is refitted and a byte-identical one (recognised by a digest
+  of the last fit's matrix) reuses the forest;
 * inference is bypassed for configurations flagged unstable — they are
   outside the training distribution and already heavily penalised.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+import hashlib
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.cloud.telemetry import TELEMETRY_METRICS
 from repro.core.datastore import Sample
-from repro.ml.cache import SurrogateCache
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.preprocessing import OneHotEncoder, StandardScaler
+
+#: Refit once the usable training rows reach this multiple of the rows at
+#: the last fit (1.0 refits on every changed training set, as in §4.3).
+REFIT_GROWTH = 1.25
 
 
 class NoiseAdjuster:
@@ -45,6 +53,8 @@ class NoiseAdjuster:
     ) -> None:
         if not worker_ids:
             raise ValueError("worker_ids must be non-empty")
+        if n_trees < 1:
+            raise ValueError("n_trees must be >= 1")
         if min_training_configs < 1:
             raise ValueError("min_training_configs must be >= 1")
         self._worker_encoder = OneHotEncoder(categories=list(worker_ids)).fit([])
@@ -53,10 +63,15 @@ class NoiseAdjuster:
         self._rng = np.random.default_rng(seed)
         self._scaler: Optional[StandardScaler] = None
         self._model: Optional[RandomForestRegressor] = None
-        self._cache = SurrogateCache()
+        # What the current forest was fitted on: the refit schedule compares
+        # each round's row count and workers against these.
+        self._fit_rows = 0
+        self._fit_workers: FrozenSet[str] = frozenset()
+        self._fit_digest = b""
         self.n_training_samples = 0
         self.n_training_configs = 0
         self.generation = 0
+        self.n_fits = 0
 
     # ------------------------------------------------------------------ state
     @property
@@ -74,19 +89,30 @@ class NoiseAdjuster:
         return np.concatenate([telemetry, worker_vec])
 
     # ------------------------------------------------------------------ train
+    def _refit_due(self, n_rows: int, workers: FrozenSet[str]) -> bool:
+        """Whether a training round must rebuild the forest (module docstring)."""
+        if self._model is None:
+            return True
+        # A shrunk training set is a changed one, so at REFIT_GROWTH = 1.0
+        # every round is a candidate and the digest alone decides.
+        return (
+            n_rows >= REFIT_GROWTH * self._fit_rows
+            or n_rows < self._fit_rows
+            or not workers <= self._fit_workers
+        )
+
     def train(self, groups: Sequence[Sequence[Sample]]) -> bool:
-        """(Re)build the model from max-budget configurations' samples.
+        """Run one training round on max-budget configurations' samples.
 
         Parameters
         ----------
         groups:
             One sequence of samples per configuration (Algorithm 1's
             ``C × W`` loop).  Crashed samples and samples without telemetry
-            are skipped.  Returns ``True`` when a model was fitted.
+            are skipped.  Returns ``True`` when a model is in place after the
+            round, whether it was refitted or kept (see :data:`REFIT_GROWTH`).
         """
-        X_rows: List[np.ndarray] = []
-        y_rows: List[float] = []
-        n_configs = 0
+        usable_groups: List[Tuple[List[Sample], float]] = []
         for samples in groups:
             usable = [s for s in samples if not s.crashed and s.telemetry is not None]
             if len(usable) < 2:
@@ -94,45 +120,57 @@ class NoiseAdjuster:
             mean_value = float(np.mean([s.value for s in usable]))
             if mean_value == 0.0:
                 continue
-            n_configs += 1
-            for sample in usable:
-                X_rows.append(self._features(sample.telemetry, sample.worker_id))
-                y_rows.append(sample.value / mean_value - 1.0)  # percent error
-
-        if n_configs < self.min_training_configs or len(X_rows) < 4:
+            usable_groups.append((usable, mean_value))
+        n_configs = len(usable_groups)
+        n_rows = sum(len(usable) for usable, _ in usable_groups)
+        if n_configs < self.min_training_configs or n_rows < 4:
             return False
 
-        X = np.stack(X_rows, axis=0)
-        y = np.asarray(y_rows, dtype=float)
-        # Exact fingerprint of the training matrix: a retrain against
-        # byte-identical data (e.g. repeated max-budget evaluations that
-        # contributed no usable new samples) reuses the fitted forest.
-        # Hashing the raw bytes is O(n·d) — negligible next to a refit —
-        # and cannot collide the way summary statistics can.
-        key = (n_configs, X.shape, X.tobytes(), y.tobytes())
-        cached = self._cache.get(key)
-        if cached is not None:
-            # The refit is skipped, but a training round still happened:
-            # keep the generation counter (exposed in iteration telemetry)
-            # advancing exactly as an uncached rebuild would.
-            self._scaler, self._model = cached
-            self.n_training_samples = len(y_rows)
-            self.n_training_configs = n_configs
-            self.generation += 1
-            return True
-        scaler = StandardScaler().fit(X)
-        model = RandomForestRegressor(
-            n_estimators=self.n_trees,
-            min_samples_leaf=2,
-            seed=int(self._rng.integers(0, 2**31 - 1)),
-        )
-        model.fit(scaler.transform(X), y)
-        self._cache.put(key, (scaler, model))
-        self._scaler = scaler
-        self._model = model
-        self.n_training_samples = len(y_rows)
+        # The schedule needs only the row count and the worker set, so a
+        # round that keeps the forest builds no feature matrix.
+        workers = frozenset(s.worker_id for usable, _ in usable_groups for s in usable)
+        # A round happened either way: the generation counter (exposed in
+        # iteration telemetry) and the row counts track rounds, not fits.
+        self.n_training_samples = n_rows
         self.n_training_configs = n_configs
         self.generation += 1
+        if not self._refit_due(n_rows, workers):
+            return True
+
+        X = np.stack(
+            [
+                self._features(sample.telemetry, sample.worker_id)
+                for usable, _ in usable_groups
+                for sample in usable
+            ]
+        )
+        y = np.asarray(
+            [
+                sample.value / mean_value - 1.0  # percent error
+                for usable, mean_value in usable_groups
+                for sample in usable
+            ],
+            dtype=float,
+        )
+        # Exact fingerprint of the training matrix: a round against
+        # byte-identical data keeps the fitted forest (and draws no seed).
+        digest = hashlib.sha256(
+            np.asarray([n_configs, *X.shape]).tobytes() + X.tobytes() + y.tobytes()
+        ).digest()
+        if digest != self._fit_digest:
+            scaler = StandardScaler().fit(X)
+            model = RandomForestRegressor(
+                n_estimators=self.n_trees,
+                min_samples_leaf=2,
+                seed=int(self._rng.integers(0, 2**31 - 1)),
+            )
+            model.fit(scaler.transform(X), y)
+            self._scaler = scaler
+            self._model = model
+            self._fit_digest = digest
+            self._fit_rows = n_rows
+            self._fit_workers = workers
+            self.n_fits += 1
         return True
 
     # ------------------------------------------------------------------ infer

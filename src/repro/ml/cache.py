@@ -1,14 +1,14 @@
 """Single-entry cache for fitted surrogate models.
 
 Refitting a 24-tree random forest is the dominant cost of a SMAC ``ask()``
-and of every noise-adjuster retrain — even after the all-trees-at-once
-vectorized builder (:mod:`repro.ml.treebuilder`) cut the refit itself by an
-order of magnitude, skipping the fit entirely still beats redoing it.  Both
-call sites rebuild the model from the *entire* observation history, so a
-fitted model stays valid exactly as long as that history is unchanged.  :class:`SurrogateCache` captures that
-invalidation rule: the caller derives a cheap fingerprint of its training
-data (observation count, plus optional checksums) and the cache returns the
-previously fitted model whenever the fingerprint matches.
+— even after the all-trees-at-once vectorized builder
+(:mod:`repro.ml.treebuilder`) cut the refit itself by an order of
+magnitude, skipping the fit entirely still beats redoing it.  SMAC rebuilds
+its model from the *entire* observation history, so a fitted model stays
+valid exactly as long as that history is unchanged.  :class:`SurrogateCache`
+captures that invalidation rule: the caller derives a cheap fingerprint of
+its training data (observation count, plus optional checksums) and the
+cache returns the previously fitted model whenever the fingerprint matches.
 
 Only one entry is kept — training histories grow monotonically during a
 tuning run, so an older fingerprint can never become current again.

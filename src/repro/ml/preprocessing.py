@@ -63,20 +63,22 @@ class OneHotEncoder:
     """
 
     def __init__(self, categories: Optional[Sequence] = None) -> None:
-        self._explicit_categories = list(categories) if categories is not None else None
+        if categories is not None:
+            categories = list(categories)
+            if len(dict.fromkeys(categories)) != len(categories):
+                raise ValueError("OneHotEncoder categories must be unique")
+        self._explicit_categories = categories
         self.categories_: Optional[list] = None
+        self._index: dict = {}
 
     def fit(self, labels: Sequence) -> "OneHotEncoder":
         if self._explicit_categories is not None:
             self.categories_ = list(self._explicit_categories)
         else:
-            seen: list = []
-            for label in labels:
-                if label not in seen:
-                    seen.append(label)
-            if not seen:
+            self.categories_ = list(dict.fromkeys(labels))
+            if not self.categories_:
                 raise ValueError("cannot fit OneHotEncoder on an empty label sequence")
-            self.categories_ = seen
+        self._index = {cat: i for i, cat in enumerate(self.categories_)}
         return self
 
     @property
@@ -88,10 +90,9 @@ class OneHotEncoder:
     def transform(self, labels: Sequence) -> np.ndarray:
         if self.categories_ is None:
             raise RuntimeError("OneHotEncoder must be fit before transform")
-        index = {cat: i for i, cat in enumerate(self.categories_)}
         out = np.zeros((len(labels), len(self.categories_)), dtype=float)
         for row, label in enumerate(labels):
-            col = index.get(label)
+            col = self._index.get(label)
             if col is not None:
                 out[row, col] = 1.0
         return out

@@ -9,6 +9,7 @@ from repro.configspace import ConfigurationSpace, FloatParameter
 from repro.core.aggregation import AggregationPolicy, aggregate, apply_instability_penalty
 from repro.core.datastore import Datastore, Sample
 from repro.core.multi_fidelity import SuccessiveHalvingSchedule
+from repro.core import noise_adjuster as noise_adjuster_module
 from repro.core.noise_adjuster import NoiseAdjuster
 from repro.core.outlier import OutlierDetector
 from repro.core.scheduler import MultiFidelityTaskScheduler
@@ -471,6 +472,14 @@ class TestNoiseAdjuster:
         with pytest.raises(ValueError):
             NoiseAdjuster(worker_ids=["w"], min_training_configs=0)
 
+    def test_invalid_tree_count_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="n_trees"):
+            NoiseAdjuster(worker_ids=["w0", "w1"], n_trees=0)
+
+    def test_duplicate_worker_ids_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="unique"):
+            NoiseAdjuster(worker_ids=["w0", "w0", "w1"])
+
 
 class TestNoiseAdjusterCache:
     def test_identical_training_data_reuses_model(self):
@@ -483,7 +492,11 @@ class TestNoiseAdjusterCache:
         assert adjuster._model is model_a  # refit skipped
         assert adjuster.generation == generation_a + 1  # counter still advances
 
-    def test_changed_training_data_refits(self):
+    def test_changed_training_data_refits(self, monkeypatch):
+        # The paper's every-point schedule: any change to the training set
+        # refits.  The default geometric schedule lags; its contract lives in
+        # tests/core/test_noise_refit_schedule.py.
+        monkeypatch.setattr(noise_adjuster_module, "REFIT_GROWTH", 1.0)
         groups, workers = TestNoiseAdjuster._training_groups(TestNoiseAdjuster())
         adjuster = NoiseAdjuster(worker_ids=workers, seed=0)
         assert adjuster.train(groups) is True

@@ -75,6 +75,16 @@ class TestOneHotEncoder:
         assert enc.n_categories == 3
         assert enc.transform_one("w2").tolist() == [0.0, 0.0, 1.0]
 
+    def test_duplicate_explicit_categories_rejected(self):
+        """A repeated category would get a dead column and widen every row."""
+        with pytest.raises(ValueError, match="unique"):
+            OneHotEncoder(categories=["w0", "w0", "w1"])
+
+    def test_refit_rebuilds_the_index(self):
+        enc = OneHotEncoder().fit(["a", "b"])
+        enc.fit(["b", "c", "a"])
+        assert enc.transform(["a", "c"]).tolist() == [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
+
     def test_duplicate_labels_collapse(self):
         enc = OneHotEncoder().fit(["x", "x", "y", "x"])
         assert enc.categories_ == ["x", "y"]

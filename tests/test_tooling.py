@@ -7,6 +7,7 @@ The same fail-loud discipline is asserted for the durable event log: a
 damaged study log must refuse to load, naming the offending line.
 """
 
+import json
 import os
 import re
 import stat
@@ -195,6 +196,40 @@ def test_batch_gate_is_wired_into_make_and_ci():
     assert "run: make bench-batch" in bench_job, "the CI bench job must run bench-batch"
 
 
+def test_refit_gate_is_wired_into_make_and_ci():
+    """`make bench-refit` exists, its runner exists, CI runs it, and the
+    compare gate guards its quality margins, fit reduction and speedup."""
+    with open(os.path.join(REPO_ROOT, "Makefile")) as fh:
+        makefile = fh.read()
+    assert re.search(r"^bench-refit:", makefile, re.MULTILINE)
+    assert "make bench-refit" in makefile  # help header documents the target
+    assert os.path.exists(os.path.join(TOOLS_DIR, "run_refit_bench.sh"))
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "bench_compare", os.path.join(TOOLS_DIR, "bench_compare.py")
+    )
+    bench_compare = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_compare)
+    assert bench_compare.GUARDED["BENCH_REFIT.json"] == {
+        "quality_margin_150": "ratio",
+        "quality_margin_600": "ratio",
+        "fit_reduction_600": "ratio",
+        "host_speedup_600": "ratio",
+    }
+    baseline = os.path.join(REPO_ROOT, "benchmarks", "baselines", "BENCH_REFIT.json")
+    assert os.path.exists(baseline), "bench-compare needs a committed baseline"
+    with open(baseline) as fh:
+        recorded = json.load(fh)
+    for metric in bench_compare.GUARDED["BENCH_REFIT.json"]:
+        assert metric in recorded, f"baseline lacks guarded metric {metric!r}"
+
+    with open(os.path.join(REPO_ROOT, ".github", "workflows", "ci.yml")) as fh:
+        ci = fh.read()
+    bench_job = ci[ci.index("\n  bench:"):]
+    assert "run: make bench-refit" in bench_job, "the CI bench job must run bench-refit"
+
+
 def test_ci_workflow_is_hardened():
     """Concurrency cancellation, job timeouts and the unit-test version
     matrix — CI hygiene the workflow must not silently lose."""
@@ -274,8 +309,6 @@ def test_e2e_bench_is_wired_into_make_and_ci():
     """`make bench-e2e` runs the end-to-end harness once per declared
     workload (seed 1, 10 s, untraced), and CI runs it in the bench job so
     a failed correctness check (exit 1) fails the job."""
-    import json
-
     with open(os.path.join(REPO_ROOT, "Makefile")) as fh:
         makefile = fh.read()
     assert re.search(r"^bench-e2e:", makefile, re.MULTILINE)

@@ -60,6 +60,12 @@ GUARDED = {
     "BENCH_RESILIENCE.json": {"geomean_retention": "ratio"},
     "BENCH_GRAYDEG.json": {"geomean_retention": "ratio"},
     "BENCH_BATCH.json": {"quality_margin": "ratio", "refit_reduction": "ratio"},
+    "BENCH_REFIT.json": {
+        "quality_margin_150": "ratio",
+        "quality_margin_600": "ratio",
+        "fit_reduction_600": "ratio",
+        "host_speedup_600": "ratio",
+    },
     "BENCH_EVENTLOOP.json": {
         "speedup": "ratio",
         "indexed_events_per_sec": "rate",
