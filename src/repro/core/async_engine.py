@@ -23,46 +23,50 @@ request in flight, the whole cluster advanced uniformly by the driver after
 each completion — which is the batch-size-1 equivalence gate: same seeds
 must yield bit-for-bit the same samples as the sequential loop.
 
-Runtime variability rides on top of this determinism: an optional
-:class:`~repro.faults.FaultModel` stretches each work item's duration when
-it is submitted (seeded per-worker streams, so a fixed seed reproduces the
-injected noise exactly), and an optional
-:class:`~repro.faults.SpeculationPolicy` arms straggler mitigation — runs
-whose elapsed time exceeds the quantile threshold of the completed
-population are duplicated onto the fastest idle eligible worker,
-first-finish-wins, the loser cancelled and its worker released.  With the
-``"none"`` model (or no model) both features are structurally inert: no RNG
-is consumed and no code path differs, so trajectories are bit-for-bit the
-legacy ones.
+Sample slots.  Each request fans out into one *slot* per VM, and the
+engine's guarantee is that every slot lands exactly one sample — a measured
+value or the paper's crash-penalty value — however its copies are
+stretched, killed, silenced or corrupted.  A slot moves through::
 
-Crash faults ride the same contract: an optional
-:class:`~repro.faults.CrashModel` decides at submission time whether a work
-item *fails* at a sampled instant instead of completing (transient mid-run
-errors, or permanent fail-stop node death that drains the worker from the
-fleet).  The engine recovers: failed items are resubmitted to a different
-eligible worker under a :class:`RetryPolicy` with capped exponential
-backoff, and a slot that exhausts its retry budget surfaces as a
-``crashed=True`` sample carrying the paper's crash-penalty value — the
-driver and optimizer always see exactly one result per slot.  The
-``"none"`` crash model (or no model, or no retry policy) is structurally
-inert, exactly like the duration models.
+    pending --submit--> running{copies, epoch} --> landed | exhausted
 
-Gray failures ride the same contract once more: an optional
-:class:`~repro.faults.PartitionModel` delays work items' *terminal reports*
-(stalls, partitions, flaky reconnects) on seeded per-worker streams, and
-``lease_timeout_hours`` arms a
-:class:`~repro.core.liveness.LivenessMonitor` — every assignment carries a
-monotone lease epoch, silence outliving the lease *suspects* the worker
-(not dead: its queue stays held), fences the epoch and re-submits the slot
-through the retry path; the stale report is rejected as a ``zombie`` at its
-pop, never evaluated.  A :class:`~repro.core.validation.ResultValidator`
-quarantines NaN/Inf/out-of-domain objective values before they can reach
-the optimizer (re-measured under the retry budget, then surfaced as the
-crash penalty), and
-:class:`~repro.core.validation.CorruptResultModel` is the matching seeded
-injector.  The ``"none"`` partition/corruption models, an armed monitor
-with no silence, and a validator on clean values are all structurally
-inert.
+and each transition is driven by one event:
+
+* *submit* (``AsyncExecutionEngine.submit``) gives the slot its **primary**
+  copy on the request's VM (pending -> running);
+* a *straggler crossing* — the copy's speed-normalised elapsed time passing
+  the :class:`~repro.faults.StragglerDetector` threshold of an optional
+  :class:`~repro.faults.SpeculationPolicy` (an optional
+  :class:`~repro.faults.FaultModel` stretches durations at submission) —
+  flags the primary once and adds a speculative **clone** on the fastest
+  idle worker the configuration has never touched;
+* a *completion* wins the slot for its copy: the other copies are cancelled
+  and their workers released before anything is evaluated, and the value
+  lands (running -> landed) — unless a
+  :class:`~repro.core.validation.ResultValidator` **quarantines** it (an
+  optional :class:`~repro.core.validation.CorruptionModel` injects such
+  garbage), and the slot is re-measured like a lost copy;
+* a *failure* (an optional :class:`~repro.faults.CrashModel` decides at
+  submission that a copy dies, revealed when its event pops) or a *lease
+  expiry* (``lease_timeout_hours`` arms a
+  :class:`~repro.core.liveness.LivenessMonitor`; an optional
+  :class:`~repro.faults.PartitionModel` delays reports) **loses** one copy,
+  at the failure or suspicion instant.  A lost primary with clones still
+  racing leaves the slot in the *lost-primary* state, and the last copy to
+  resolve decides it.  Losing the last copy **retries** the slot on a fresh
+  eligible worker after the :class:`RetryPolicy` backoff — a new primary
+  under a new lease epoch, with fresh clone and straggler state — or, once
+  the budget is spent or no worker is eligible, **exhausts** it: a
+  ``crashed=True`` crash-penalty sample lands (running -> exhausted);
+* the late report of a suspected copy pops as a fenced **zombie** and is
+  rejected without evaluation: its slot already moved on.
+
+Landing is one-way — a slot lands at most once — and a request returns once
+all its slots have landed, so the driver and optimizer see exactly one
+result per slot.  With the ``"none"`` models (or no models), no speculation,
+no retry policy and no validator — or a validator on clean values — only
+submit and completion fire: no RNG is consumed and no code path differs, so
+trajectories are bit-for-bit the legacy ones.
 
 Scale: the loop's bookkeeping is *indexed*, not scanned.  Per-worker clocks
 live in a NumPy array behind :class:`~repro.core.worker_index.WorkerIndex`,
@@ -80,7 +84,7 @@ the equivalence property tests and the ``make bench-eventloop`` baseline.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -136,6 +140,14 @@ if TYPE_CHECKING:  # avoid import cycles; annotations only
     from repro.core.scheduler import MultiFidelityTaskScheduler
     from repro.obs.metrics import Counter, Histogram, MetricsRegistry
     from repro.obs.tracing import TraceRecorder
+
+#: Configurations whose worker exclusions the engine keeps before evicting
+#: the oldest ones with no open request (memory stays independent of run
+#: length on million-sample runs).
+CONFIG_EXCLUSION_CAPACITY = 65536
+
+#: Recent completions kept in the event loop's telemetry ring.
+TELEMETRY_WINDOW = 4096
 
 
 @dataclass(frozen=True)
@@ -267,7 +279,6 @@ class ClusterEventLoop:
         lockstep: bool = False,
         fault_model: "FaultModel | str | None" = None,
         crash_model: "CrashModel | str | None" = None,
-        telemetry_window: int = 4096,
         metrics: "Optional[MetricsRegistry]" = None,
         partition_model: "PartitionModel | str | None" = None,
         liveness: Optional[LivenessMonitor] = None,
@@ -320,7 +331,7 @@ class ClusterEventLoop:
         #: Largest finish time processed so far — the run's wall-clock.
         self.makespan = 0.0
         #: Bounded per-event counters + recent-completion ring.
-        self.telemetry = LoopTelemetry(telemetry_window)
+        self.telemetry = LoopTelemetry(TELEMETRY_WINDOW)
 
     @property
     def worker_index(self) -> WorkerIndex:
@@ -630,26 +641,67 @@ class ClusterEventLoop:
         return item
 
 
+@dataclass(eq=False)
+class _OpenRequest:
+    """A submitted request and the samples its slots have landed so far."""
+
+    request: WorkRequest
+    samples: List[Sample] = field(default_factory=list)
+
+
+@dataclass(eq=False)
+class _Exclusion:
+    """Workers a configuration has touched, and its open-request count."""
+
+    workers: Set[str] = field(default_factory=set)
+    open_requests: int = 0
+
+
+@dataclass(eq=False)
+class _Slot:
+    """One sample slot of an open request, from submission to its result.
+
+    ``primary`` is the slot's live regular copy (its first run or latest
+    retry) and ``clones`` its live speculative duplicates, in launch order.
+    ``primary is None`` while clones still race is the lost-primary state:
+    the primary failed or was suspected, and the last copy to resolve
+    decides the slot.  ``n_clones`` and ``flagged`` belong to the current
+    primary's copy generation and reset on a retry; ``attempts`` counts the
+    slot's retries and survives a clone win into quarantine re-measures.
+    """
+
+    owner: _OpenRequest
+    primary: Optional[WorkItem]
+    clones: List[WorkItem] = field(default_factory=list)
+    n_clones: int = 0
+    flagged: bool = False
+    attempts: int = 0
+    landed: bool = False
+
+    def copy(self, sequence: int) -> WorkItem:
+        """The live copy with submission sequence ``sequence``."""
+        if self.primary is not None and self.primary.sequence == sequence:
+            return self.primary
+        return next(clone for clone in self.clones if clone.sequence == sequence)
+
+
 class AsyncExecutionEngine:
     """Keeps every worker VM busy with its own timeline of sample runs.
 
     The sampler/tuning loop submits :class:`WorkRequest`s; the engine fans
-    each out into one :class:`WorkItem` per VM, runs the underlying
+    each out into one sample slot per VM (see the module docstring for the
+    slot lifecycle), runs the underlying
     :class:`~repro.core.execution.ExecutionEngine` lazily as completion
     events fire (in completion order, so the measurement RNG follows the
-    cluster's simulated schedule), and returns requests once their last
-    sample has finished.
+    cluster's simulated schedule), and returns requests once every slot has
+    landed.
 
-    Straggler mitigation (optional, ``speculation=``): at every completion
-    event, in-flight runs whose speed-normalised elapsed time exceeds the
-    :class:`~repro.faults.StragglerDetector` threshold are duplicated onto
-    the fastest idle worker the configuration has never touched.  The first
-    copy to finish supplies the slot's sample; the other is cancelled and
-    its worker released — so the driver (and through it the optimizer) sees
-    exactly one result per sample, speculation or not.  When a task
-    scheduler is wired in, duplicate workers are reserved/released and their
-    load recorded through it, and :meth:`speculative_workers_for` lets the
-    sampler exclude in-flight duplicates from regular placement.
+    Per-slot state lives in two maps: ``_slots`` (live item sequence →
+    :class:`_Slot`, in submission order) and ``_exclusions`` (configuration
+    → workers it touched, bounded by :data:`CONFIG_EXCLUSION_CAPACITY`).
+    Speculative duplicates and retries hold engine-owned scheduler
+    reservations; :meth:`auxiliary_workers_for` lets the sampler keep
+    regular placement off the workers running them.
     """
 
     def __init__(
@@ -664,7 +716,6 @@ class AsyncExecutionEngine:
         crash_model: "CrashModel | str | None" = None,
         retry_policy: Optional[RetryPolicy] = None,
         event_log: Optional[EventLog] = None,
-        config_exclusion_capacity: int = 65536,
         metrics: "Optional[MetricsRegistry]" = None,
         tracer: "Optional[TraceRecorder]" = None,
         partition_model: "PartitionModel | str | None" = None,
@@ -672,8 +723,6 @@ class AsyncExecutionEngine:
         validation: "ResultValidator | bool | None" = None,
         corruption_model: "CorruptionModel | str | None" = None,
     ) -> None:
-        if config_exclusion_capacity < 1:
-            raise ValueError("config_exclusion_capacity must be >= 1")
         self.execution = execution
         self.cluster = cluster
         self.lockstep = lockstep
@@ -757,35 +806,14 @@ class AsyncExecutionEngine:
         self._clock_origin: np.ndarray = np.array(
             [vm.clock_hours for vm in cluster.workers], dtype=np.float64
         )
-        self._remaining: Dict[int, int] = {}
-        self._samples: Dict[int, List[Sample]] = {}
-        self._request_ids: Dict[int, WorkRequest] = {}
-        self._next_request_id = 0
-        self._request_id_of: Dict[int, int] = {}  # item sequence -> request id
-        # Speculation bookkeeping (all keyed by item sequence / config).
-        self._live: Dict[int, WorkItem] = {}  # in-flight, not cancelled
-        self._clone_of: Dict[int, int] = {}  # clone seq -> original seq
-        self._clones_of: Dict[int, List[int]] = {}  # original seq -> live clone seqs
-        self._n_clones: Dict[int, int] = {}  # original seq -> clones launched
-        self._flagged: Set[int] = set()  # originals already counted as stragglers
-        # Per-config worker exclusions (speculation/retry placement must not
-        # reuse a node the configuration already touched).  Bounded: once the
-        # map exceeds ``config_exclusion_capacity`` entries, the oldest
-        # configs with no open requests are evicted (their landed workers
-        # remain visible through ``used_workers_fn``), so memory stays
-        # independent of run length on million-sample runs.
-        self._config_workers: Dict[Configuration, Set[str]] = {}
-        self._config_refs: Dict[Configuration, int] = {}  # open requests per config
-        self._exclusion_capacity = config_exclusion_capacity
+        #: Live item sequence -> its slot, in submission order.
+        self._slots: Dict[int, _Slot] = {}
+        #: Per-config worker exclusions (speculation/retry placement must
+        #: not reuse a node the configuration already touched), oldest
+        #: first; bounded by evicting quiescent configs.
+        self._exclusions: Dict[Configuration, _Exclusion] = {}
         self.n_evicted_exclusions = 0
-        # Crash-recovery bookkeeping (keyed by item sequence).
-        self._attempts: Dict[int, int] = {}  # retried item seq -> retries so far
         self._dead_seen: Set[str] = set()  # node deaths already observed
-        # Originals that failed while speculative duplicates were still
-        # racing: sequence -> retry count carried by the slot.  The slot is
-        # decided by whichever duplicate resolves last (win, or failure of
-        # the final copy, which triggers the retry/exhaust path).
-        self._failed_original: Dict[int, int] = {}
         self.n_submitted_requests = 0
         self.n_completed_requests = 0
 
@@ -809,27 +837,22 @@ class AsyncExecutionEngine:
             self._event_log.append(kind, **fields)
 
     def submit(self, request: WorkRequest) -> List[WorkItem]:
-        """Fan a request out into one work item per VM."""
+        """Fan a request out into one sample slot (and work item) per VM."""
         if not request.vms:
             raise ValueError(
                 "request schedules no samples; complete it inline instead of "
                 "submitting it to the event loop"
             )
-        request_id = self._next_request_id
-        self._next_request_id += 1
-        self._request_ids[request_id] = request
-        self._remaining[request_id] = len(request.vms)
-        self._samples[request_id] = []
-        assigned = self._config_workers.setdefault(request.config, set())
-        self._config_refs[request.config] = self._config_refs.get(request.config, 0) + 1
+        owner = _OpenRequest(request)
+        exclusion = self._exclusions.setdefault(request.config, _Exclusion())
+        exclusion.open_requests += 1
         self._evict_exclusions()
         items = []
         submitted_at = self.loop.now
         for vm in request.vms:
             item = self.loop.submit(request, vm, self.duration_for(vm))
-            self._request_id_of[item.sequence] = request_id
-            self._live[item.sequence] = item
-            assigned.add(vm.vm_id)
+            self._slots[item.sequence] = _Slot(owner, item)
+            exclusion.workers.add(vm.vm_id)
             items.append(item)
             self._log(
                 "submit",
@@ -873,16 +896,22 @@ class AsyncExecutionEngine:
         covers every worker that produced a sample; only cancelled or
         mid-chain-failed workers of long-closed requests are forgotten.
         """
-        while len(self._config_workers) > self._exclusion_capacity:
-            victim: Optional[Configuration] = None
-            for config in self._config_workers:  # insertion = oldest-first order
-                if self._config_refs.get(config, 0) == 0:
-                    victim = config
-                    break
+        while len(self._exclusions) > CONFIG_EXCLUSION_CAPACITY:
+            victim = next(
+                (c for c, e in self._exclusions.items() if e.open_requests == 0), None
+            )
             if victim is None:
                 return  # every tracked config still has an open request
-            del self._config_workers[victim]
+            del self._exclusions[victim]
             self.n_evicted_exclusions += 1
+
+    def _excluded_workers(self, config: Configuration) -> Set[str]:
+        """Workers ``config`` has touched: tracked ones plus landed ones."""
+        exclusion = self._exclusions.get(config)
+        excluded: Set[str] = set(exclusion.workers) if exclusion is not None else set()
+        if self._used_workers_fn is not None:
+            excluded.update(self._used_workers_fn(config))
+        return excluded
 
     @property
     def n_in_flight_items(self) -> int:
@@ -962,79 +991,42 @@ class AsyncExecutionEngine:
                 return result
 
     def _process_next_item(self) -> Optional[Tuple[WorkRequest, List[Sample]]]:
-        """Pop and evaluate one completion; return its request if it is done.
+        """Fire one event and apply its slot transition; return the request
+        it completed, if any.
 
-        First-finish-wins reconciliation happens here: whichever side of a
-        speculative pair pops first supplies the slot's sample, and the
-        other side is cancelled before any evaluation — so exactly one
-        sample per work item ever reaches the datastore and the optimizer,
-        and the losing worker is released at the winner's finish time.
-
-        Failure events branch into the recovery path instead of evaluation:
-        the slot is retried on another worker (or surfaced as a
-        crash-penalty sample once the budget is exhausted), so the driver
-        still observes exactly one result per slot.
-
-        Gray failures branch here too: lease expiries fire as detection
-        events *before* the next completion (the suspected slot re-enters
-        the retry path under a new epoch), a fenced item's eventual report
-        is rejected as a zombie without ever being evaluated, and an
-        evaluated sample that fails validation is quarantined instead of
-        landing — so no stale or garbage result can reach the optimizer.
+        Detection events come first: straggler crossings launch clones, and
+        a lease expiry before the next completion suspects its copy.
+        Otherwise the next report pops — a fenced zombie (rejected), a
+        failure (copy lost) or a completion (first finish wins).
         """
         self._speculate_at_crossings()
         suspected = self.loop.poll_suspicion()
+        result: Optional[Tuple[WorkRequest, List[Sample]]] = None
         if suspected is not None:
             result = self._handle_suspicion(suspected)
-            self._maybe_speculate()
-            return result
-        item = self.loop.next_completion()
-        self._live.pop(item.sequence, None)
-        if item.fenced:
-            self._handle_zombie(item)
-            self._maybe_speculate()
-            return None
-        if item.failed:
-            result = self._handle_failure(item)
-            self._maybe_speculate()
-            return result
-        request_id = self._request_id_of.pop(item.sequence)
-        if item.speculative:
-            # The duplicate won the race: cancel the straggling original and
-            # any sibling duplicates of the same slot.
-            original_seq = self._clone_of.pop(item.sequence)
-            self._cancel_clones_of(original_seq, keep=item.sequence)
-            original = self._live.pop(original_seq, None)
-            if original is not None:
-                self._cancel_item(original)
-                if original.retried and self._scheduler is not None:
-                    # Retried originals hold engine-owned reservations.
-                    self._scheduler.release([original.vm.vm_id])
-            # The slot's retry count survives into quarantine re-measures
-            # (whichever bookkeeping held it: a plain retry chain, or a
-            # failed original whose duplicates were still racing).
-            slot_attempts = max(
-                self._attempts.pop(original_seq, None) or 0,
-                self._failed_original.pop(original_seq, None) or 0,
-            )
-            self._forget_slot(original_seq)
-            self.stats.n_duplicate_wins += 1
-            if self._scheduler is not None:
-                self._scheduler.release([item.vm.vm_id])
         else:
-            # The original finished first after all: cancel its duplicates.
-            self._cancel_clones_of(item.sequence)
-            slot_attempts = self._attempts.pop(item.sequence, None) or 0
-            self._forget_slot(item.sequence)
-            if item.retried and self._scheduler is not None:
-                self._scheduler.release([item.vm.vm_id])
+            item = self.loop.next_completion()
+            if item.fenced:
+                self._handle_zombie(item)
+            elif item.failed:
+                result = self._handle_failure(item)
+            else:
+                result = self._handle_completion(item)
+        self._maybe_speculate()
+        return result
+
+    def _handle_completion(
+        self, item: WorkItem
+    ) -> Optional[Tuple[WorkRequest, List[Sample]]]:
+        """First finish wins: the slot's other copies are cancelled before
+        any evaluation, so exactly one sample per slot is ever measured for
+        landing; a value that fails validation is quarantined instead."""
+        slot = self._win(item)
         sample = self._evaluate(item)
         if self._validator is not None:
             reason = self._validator.check(sample.value)
             if reason is not None:
-                result = self._quarantine(item, request_id, slot_attempts, sample, reason)
-                self._maybe_speculate()
-                return result
+                return self._quarantine(item, slot, sample, reason)
         if self._detector is not None:
             self._detector.observe(
                 self.execution.work_units(item.vm, item.finish_hours - item.start_hours)
@@ -1057,45 +1049,56 @@ class AsyncExecutionEngine:
             self._tracer.end(
                 item.sequence, item.finish_hours, "complete", value=sample.value
             )
-        result = self._land(request_id, sample)
-        self._maybe_speculate()
-        return result
+        return self._land(slot, sample)
+
+    def _win(self, item: WorkItem) -> _Slot:
+        """Settle a slot on its first finished copy: cancel the others (a
+        clone win cancels the straggling primary too) and release the
+        winner's engine-owned reservation."""
+        slot = self._slots.pop(item.sequence)
+        for clone in slot.clones:
+            if clone is not item:
+                self._cancel_item(clone)
+        if item.speculative:
+            if slot.primary is not None:
+                self._cancel_item(slot.primary)
+            self.stats.n_duplicate_wins += 1
+        self._release(item)
+        slot.primary, slot.clones = None, []
+        return slot
 
     def _land(
-        self, request_id: int, sample: Sample
+        self, slot: _Slot, sample: Sample
     ) -> Optional[Tuple[WorkRequest, List[Sample]]]:
-        """Count one landed sample (real or crash-penalty) against its
-        request; returns the completed pair when it was the last open slot."""
+        """Land the slot's one result (real or crash-penalty); returns the
+        completed pair when it was the request's last open slot."""
+        if slot.landed:
+            raise RuntimeError("a sample slot landed twice")
+        slot.landed = True
         if self._metrics is not None:
             self._m_eng_landed.inc()
             if sample.crashed:
                 self._metrics.inc("engine.samples.crashed")
-        self._samples[request_id].append(sample)
-        self._remaining[request_id] -= 1
-        if self._remaining[request_id] != 0:
+        owner = slot.owner
+        owner.samples.append(sample)
+        if len(owner.samples) < len(owner.request.vms):
             return None
-        request = self._request_ids.pop(request_id)
-        samples = self._samples.pop(request_id)
-        del self._remaining[request_id]
-        refs = self._config_refs.get(request.config, 0) - 1
-        if refs > 0:
-            self._config_refs[request.config] = refs
-        else:
-            self._config_refs.pop(request.config, None)
+        self._exclusions[owner.request.config].open_requests -= 1
         self.n_completed_requests += 1
-        return request, samples
+        return owner.request, owner.samples
 
-    # -- crash recovery --------------------------------------------------------
+    def _release(self, item: WorkItem) -> None:
+        """Return an engine-owned reservation: clones and retries hold one,
+        first runs belong to the sampler."""
+        if self._scheduler is not None and (item.speculative or item.retried):
+            self._scheduler.release([item.vm.vm_id])
+
+    # -- lost copies: crashes and lease expiries --------------------------------
     def _handle_failure(
         self, item: WorkItem
     ) -> Optional[Tuple[WorkRequest, List[Sample]]]:
-        """React to a fail-stop failure event.
-
-        Returns the completed ``(request, samples)`` pair when the failure
-        exhausted the slot's retry budget *and* its crash-penalty sample was
-        the request's last open slot; ``None`` otherwise (a retry was
-        submitted, or other copies of the slot are still racing).
-        """
+        """React to a fail-stop failure event (the copy is lost at its
+        failure instant)."""
         worker_id = item.vm.vm_id
         self.crash_stats.n_failures += 1
         if item.failure_kind == "transient":
@@ -1129,58 +1132,24 @@ class AsyncExecutionEngine:
                 item.sequence, item.finish_hours, "fail", fault=item.failure_kind
             )
         if item.speculative:
-            # A speculative duplicate died.  The slot usually still has its
-            # original (or sibling duplicates) racing — then the failure
-            # costs nothing but the duplicate.  If the original already
-            # failed and this was the last live copy, the slot is lost and
-            # enters recovery.
             self.crash_stats.n_speculative_failures += 1
-            request_id = self._request_id_of.pop(item.sequence)
-            original_seq = self._clone_of.pop(item.sequence)
-            siblings = self._clones_of.get(original_seq)
-            if siblings is not None and item.sequence in siblings:
-                siblings.remove(item.sequence)
-                if not siblings:
-                    self._clones_of.pop(original_seq, None)
-            if self._scheduler is not None:
-                self._scheduler.release([worker_id])  # engine-owned
-            if original_seq in self._failed_original and not self._clones_of.get(
-                original_seq
-            ):
-                attempts = self._failed_original.pop(original_seq)
-                self._forget_slot(original_seq)
-                return self._retry_or_exhaust(request_id, item, attempts)
-            return None
-        request_id = self._request_id_of.pop(item.sequence)
-        if item.retried and self._scheduler is not None:
-            self._scheduler.release([worker_id])  # engine-owned
-        attempts = self._attempts.pop(item.sequence, 0)
-        if self._clones_of.get(item.sequence):
-            # Speculative duplicates of this slot are still racing: no retry
-            # yet — whichever copy resolves last decides the slot.
-            self._failed_original[item.sequence] = attempts
-            self._flagged.discard(item.sequence)
-            return None
-        return self._retry_or_exhaust(request_id, item, attempts)
+        return self._lose_copy(item, item.finish_hours)
 
-    # -- gray-failure handling -------------------------------------------------
     def _handle_suspicion(
         self, item: WorkItem
     ) -> Optional[Tuple[WorkRequest, List[Sample]]]:
-        """React to a lease expiry: fence the epoch, re-submit the slot.
+        """React to a lease expiry: fence the epoch, lose the copy.
 
-        Mirrors :meth:`_handle_failure` structurally — the slot re-enters
-        the retry path (or surfaces as a crash-penalty sample on an
-        exhausted budget) — but the worker is only *suspected*, not dead:
-        its queue stays occupied until the silent item's report finally
-        arrives, and that report pops as a fenced zombie.  The clock
-        already sits at the expiry instant (``loop.poll_suspicion``
-        advanced it).
+        The worker is only *suspected*, not dead: its queue stays occupied
+        until the silent item's report finally arrives, and that report pops
+        as a fenced zombie.  The copy is lost at the suspicion instant
+        (``loop.poll_suspicion`` already advanced the clock there) — its
+        ``finish_hours`` is the *future* zombie report, which a retry's
+        backoff must not wait for.
         """
         worker_id = item.vm.vm_id
         suspected_at = self.loop.now
         self.gray_stats.n_suspected += 1
-        self._live.pop(item.sequence, None)
         self._log(
             "suspect",
             item=item.sequence,
@@ -1208,51 +1177,36 @@ class AsyncExecutionEngine:
             # Placement stops offering the silent worker new work until its
             # stale report drains (the zombie pop restores it).
             self._scheduler.suspend(worker_id)
+        return self._lose_copy(item, suspected_at)
+
+    def _lose_copy(
+        self, item: WorkItem, decided_at: float
+    ) -> Optional[Tuple[WorkRequest, List[Sample]]]:
+        """Drop a failed or suspected copy from its slot.
+
+        While other copies still race the loss costs only this copy; a lost
+        primary leaves the slot in the lost-primary state until its clones
+        resolve.  Losing the slot's last copy retries or exhausts it.
+        """
+        slot = self._slots.pop(item.sequence)
+        self._release(item)
         if item.speculative:
-            # A suspected duplicate: the slot usually still has its original
-            # (or sibling duplicates) racing, so losing it costs nothing.
-            # If the original already failed and this was the last live
-            # copy, the slot is lost and enters recovery — exactly the
-            # failed-duplicate path.
-            request_id = self._request_id_of.pop(item.sequence)
-            original_seq = self._clone_of.pop(item.sequence)
-            siblings = self._clones_of.get(original_seq)
-            if siblings is not None and item.sequence in siblings:
-                siblings.remove(item.sequence)
-                if not siblings:
-                    self._clones_of.pop(original_seq, None)
-            if self._scheduler is not None:
-                self._scheduler.release([worker_id])  # engine-owned
-            if original_seq in self._failed_original and not self._clones_of.get(
-                original_seq
-            ):
-                attempts = self._failed_original.pop(original_seq)
-                self._forget_slot(original_seq)
-                return self._retry_or_exhaust(
-                    request_id, item, attempts, at_hours=suspected_at
-                )
+            slot.clones = [clone for clone in slot.clones if clone is not item]
+        else:
+            slot.primary = None
+            slot.flagged = False
+        if slot.primary is not None or slot.clones:
             return None
-        request_id = self._request_id_of.pop(item.sequence)
-        if item.retried and self._scheduler is not None:
-            self._scheduler.release([worker_id])  # engine-owned
-        attempts = self._attempts.pop(item.sequence, 0)
-        if self._clones_of.get(item.sequence):
-            # Duplicates of the suspected slot are still racing: no retry
-            # yet — whichever copy resolves last decides the slot.
-            self._failed_original[item.sequence] = attempts
-            self._flagged.discard(item.sequence)
-            return None
-        return self._retry_or_exhaust(request_id, item, attempts, at_hours=suspected_at)
+        return self._retry_or_exhaust(slot, item, decided_at)
 
     def _handle_zombie(self, item: WorkItem) -> None:
         """Reject the report of a fenced (stale-epoch) item at its pop.
 
-        The slot was re-submitted under a new epoch when the lease expired;
-        this report — a completed result carried back by a resurrected
-        worker, or a stale failure notice — is deterministically dropped
-        without ever being evaluated, so no measurement RNG is consumed and
-        at most one result per slot can reach the optimizer.  Its per-slot
-        bookkeeping was already torn down at suspicion time.
+        The copy was dropped from its slot when its lease expired; this
+        report — a completed result carried back by a resurrected worker,
+        or a stale failure notice — is deterministically dropped without
+        ever being evaluated, so no measurement RNG is consumed and at most
+        one result per slot can reach the optimizer.
         """
         self.gray_stats.n_zombies_rejected += 1
         if self._scheduler is not None:
@@ -1274,8 +1228,7 @@ class AsyncExecutionEngine:
     def _quarantine(
         self,
         item: WorkItem,
-        request_id: int,
-        attempts: int,
+        slot: _Slot,
         sample: Sample,
         reason: str,
     ) -> Optional[Tuple[WorkRequest, List[Sample]]]:
@@ -1296,7 +1249,7 @@ class AsyncExecutionEngine:
             t=item.finish_hours,
             value=str(sample.value),  # NaN/Inf are not valid JSON numbers
             reason=reason,
-            attempt=attempts,
+            attempt=slot.attempts,
         )
         if self._metrics is not None:
             self._metrics.inc("engine.samples.quarantined")
@@ -1305,12 +1258,11 @@ class AsyncExecutionEngine:
             self._tracer.end(
                 item.sequence, item.finish_hours, "quarantined", reason=reason
             )
-        retries_before = self.crash_stats.n_retries
-        result = self._retry_or_exhaust(request_id, item, attempts)
-        if self.crash_stats.n_retries > retries_before:
-            self.gray_stats.n_quarantine_retries += 1
-        else:
+        result = self._retry_or_exhaust(slot, item, item.finish_hours)
+        if slot.landed:
             self.gray_stats.n_quarantine_penalized += 1
+        else:
+            self.gray_stats.n_quarantine_retries += 1
         return result
 
     @property
@@ -1324,42 +1276,32 @@ class AsyncExecutionEngine:
         )
 
     def _retry_or_exhaust(
-        self,
-        request_id: int,
-        failed_item: WorkItem,
-        attempts: int,
-        at_hours: Optional[float] = None,
+        self, slot: _Slot, failed_item: WorkItem, decided_at: float
     ) -> Optional[Tuple[WorkRequest, List[Sample]]]:
-        """Resubmit a lost slot under the retry policy, or give up on it.
+        """Resubmit a slot with no live copy left, or give up on it.
 
         A retry goes to the best live worker the configuration has never
-        touched, after the policy's backoff; exhausting the budget (or
-        running out of eligible workers) surfaces the slot as a
+        touched, after the policy's backoff from ``decided_at``, and starts
+        a new copy generation (fresh clone count and straggler flag).
+        Exhausting the budget (or running out of eligible workers) lands a
         ``crashed=True`` sample carrying the paper's crash-penalty value, so
         the optimizer is told a real (bad) result instead of waiting forever
         on a lost one.
-
-        ``at_hours`` overrides the instant the loss was decided (default:
-        the failed item's report time).  Lease expiries pass the suspicion
-        instant — the suspected item's ``finish_hours`` is its *future*
-        zombie report, which the retry's backoff must not wait for.
         """
-        request = self._request_ids[request_id]
-        self._forget_slot(failed_item.sequence)
-        decided_at = failed_item.finish_hours if at_hours is None else at_hours
+        request = slot.owner.request
         policy = self.retry_policy
-        if policy is not None and attempts < policy.max_retries:
+        if policy is not None and slot.attempts < policy.max_retries:
             vm = self._pick_retry_worker(request.config)
             if vm is not None:
-                not_before = decided_at + policy.delay_hours(attempts)
+                not_before = decided_at + policy.delay_hours(slot.attempts)
                 item = self.loop.submit(
                     request, vm, self.duration_for(vm), not_before=not_before
                 )
                 item.retried = True
-                self._attempts[item.sequence] = attempts + 1
-                self._live[item.sequence] = item
-                self._request_id_of[item.sequence] = request_id
-                self._config_workers.setdefault(request.config, set()).add(vm.vm_id)
+                slot.attempts += 1
+                slot.primary, slot.n_clones, slot.flagged = item, 0, False
+                self._slots[item.sequence] = slot
+                self._exclusions[request.config].workers.add(vm.vm_id)
                 if self._scheduler is not None:
                     self._scheduler.reserve([vm.vm_id])
                     self._scheduler.record_external_load(vm.vm_id)
@@ -1370,7 +1312,7 @@ class AsyncExecutionEngine:
                     config=request.config,
                     worker=vm.vm_id,
                     t=item.start_hours,
-                    attempt=attempts + 1,
+                    attempt=slot.attempts,
                     failed_worker=failed_item.vm.vm_id,
                     submitted=decided_at,
                     region=vm.region.name,
@@ -1389,7 +1331,7 @@ class AsyncExecutionEngine:
             iteration=request.iteration,
             budget=request.budget,
         )
-        return self._land(request_id, sample)
+        return self._land(slot, sample)
 
     def _pick_retry_worker(self, config: Configuration) -> Optional[VirtualMachine]:
         """Best live worker the configuration has never touched.
@@ -1400,52 +1342,20 @@ class AsyncExecutionEngine:
         possible start instead of requiring idleness.  Deterministic and
         RNG-free: (earliest start, fastest SKU, cluster position).
         """
-        excluded = set(self._config_workers.get(config, ()))
-        if self._used_workers_fn is not None:
-            excluded.update(self._used_workers_fn(config))
-        return self.loop.best_retry_worker(excluded)
+        return self.loop.best_retry_worker(self._excluded_workers(config))
 
     # -- speculative re-execution ---------------------------------------------
-    def _cancel_clones_of(self, original_seq: int, keep: Optional[int] = None) -> None:
-        """Cancel every live duplicate of a slot (except the winner, if any).
-
-        Each cancelled duplicate lost its race: its engine-owned scheduler
-        reservation is released and it counts as a duplicate loss.
-        """
-        for clone_seq in self._clones_of.pop(original_seq, []):
-            if clone_seq == keep:
-                continue
-            self._clone_of.pop(clone_seq, None)
-            clone = self._live.pop(clone_seq, None)
-            if clone is None:
-                continue
-            self._cancel_item(clone)
-            if self._scheduler is not None:
-                self._scheduler.release([clone.vm.vm_id])
-            self.stats.n_duplicate_losses += 1
-
-    def _forget_slot(self, sequence: int) -> None:
-        """Drop per-slot speculation bookkeeping once the slot is decided.
-
-        ``_flagged`` and ``_n_clones`` are keyed by item sequence, which
-        grows with the number of samples; forgetting resolved slots keeps
-        them bounded by the in-flight set on million-sample runs.  Sequences
-        are never reused, so this is observation-free.
-        """
-        self._flagged.discard(sequence)
-        self._n_clones.pop(sequence, None)
-
     def _cancel_item(self, item: WorkItem) -> None:
-        """Cancel a pending item and drop its request bookkeeping.
+        """Cancel a copy that lost its slot's race.
 
-        The winner of the pair decrements the request's remaining count, so
-        the loser just disappears; its scheduler reservation is handled by
-        the caller (duplicates are engine-owned, originals sampler-owned).
+        The loop releases its worker; a cancelled clone also returns its
+        engine-owned reservation and counts as a duplicate loss.
         """
         self.loop.cancel(item)
-        self._request_id_of.pop(item.sequence, None)
-        self._flagged.discard(item.sequence)
+        del self._slots[item.sequence]
         self.stats.n_items_cancelled += 1
+        if item.speculative:
+            self.stats.n_duplicate_losses += 1
         # The instant the worker is released back to (same expression as
         # ClusterEventLoop.cancel): when the item never started, its span
         # collapses to zero length at its scheduled start.
@@ -1463,33 +1373,41 @@ class AsyncExecutionEngine:
                 self._metrics.inc("engine.speculation.losses")
         if self._tracer is not None:
             self._tracer.end(item.sequence, cancelled_at, "cancel")
+        self._release(item)
 
-    def speculative_workers_for(self, config: Configuration) -> List[str]:
-        """Workers currently running a speculative duplicate of ``config``.
-
-        The sampler's placement excludes these so a regular sample of the
-        same configuration cannot land on a node that is about to hold the
-        duplicate's result (which would break the distinct-node budget).
-        """
-        return [
-            item.vm.vm_id
-            for item in self._live.values()
-            if item.speculative and item.request.config == config
-        ]
+    def _live_items(self) -> List[Tuple[_Slot, WorkItem]]:
+        """Every live copy with its slot, in submission order."""
+        return [(slot, slot.copy(sequence)) for sequence, slot in self._slots.items()]
 
     def auxiliary_workers_for(self, config: Configuration) -> List[str]:
         """Workers running engine-initiated copies of ``config``'s slots.
 
-        Superset of :meth:`speculative_workers_for`: speculative duplicates
-        *and* crash retries.  Both occupy an existing budget slot rather
-        than a new one, so the sampler's placement excludes these workers
-        without letting them count towards the budget.
+        Speculative duplicates and crash retries both occupy an existing
+        budget slot rather than a new one, so the sampler's placement
+        excludes these workers without letting them count towards the
+        budget.
         """
         return [
             item.vm.vm_id
-            for item in self._live.values()
+            for _, item in self._live_items()
             if (item.speculative or item.retried) and item.request.config == config
         ]
+
+    def _cloneable(self, limit: int) -> List[Tuple[_Slot, WorkItem]]:
+        """Live primaries with fewer than ``limit`` clones launched."""
+        return [
+            (slot, item)
+            for slot, item in self._live_items()
+            if not item.speculative and slot.n_clones < limit
+        ]
+
+    def _flag(self, slot: _Slot) -> None:
+        """Count the slot's current primary as a straggler (once)."""
+        if not slot.flagged:
+            slot.flagged = True
+            self.stats.n_stragglers_detected += 1
+            if self._metrics is not None:
+                self._metrics.inc("engine.stragglers.detected")
 
     def _speculate_at_crossings(self) -> None:
         """Process straggler *detection events* before the next completion.
@@ -1514,33 +1432,25 @@ class AsyncExecutionEngine:
             if next_finish is None:
                 return
             crossings = []
-            for sequence, item in self._live.items():
-                if item.speculative:
-                    continue
-                if self._n_clones.get(sequence, 0) >= self.speculation.max_clones_per_item:
-                    continue
+            for slot, item in self._cloneable(self.speculation.max_clones_per_item):
                 # Normalised elapsed reaches the threshold at this instant.
                 crossing = item.start_hours + threshold / item.vm.speed_factor
                 if crossing < next_finish:
-                    crossings.append((crossing, sequence, item))
+                    crossings.append((crossing, item.sequence, slot, item))
             if not crossings:
                 return
             crossings.sort(key=lambda entry: (entry[0], entry[1]))
             progressed = False
-            for crossing, sequence, item in crossings:
+            for crossing, _, slot, item in crossings:
                 next_finish = self.loop.peek_finish()
                 if next_finish is not None and crossing >= next_finish:
                     break  # a clone launched this pass moved the horizon
                 self.loop.advance_now(crossing)
-                if sequence not in self._flagged:
-                    self._flagged.add(sequence)
-                    self.stats.n_stragglers_detected += 1
-                    if self._metrics is not None:
-                        self._metrics.inc("engine.stragglers.detected")
+                self._flag(slot)
                 clone_vm = self._pick_speculative_worker(item)
                 if clone_vm is None:
                     continue  # nobody idle and eligible at the crossing
-                self._submit_clone(item, clone_vm)
+                self._submit_clone(slot, item, clone_vm)
                 progressed = True
             if not progressed:
                 return
@@ -1560,26 +1470,17 @@ class AsyncExecutionEngine:
         if threshold is None:
             return
         now = self.loop.now
-        for sequence in list(self._live):
-            item = self._live.get(sequence)
-            if item is None or item.speculative or item.cancelled:
-                continue
-            if self._n_clones.get(sequence, 0) >= self.speculation.max_clones_per_item:
-                continue
+        for slot, item in self._cloneable(self.speculation.max_clones_per_item):
             if item.start_hours > now:
                 continue  # still queued behind other work, not running
             elapsed = self.execution.work_units(item.vm, now - item.start_hours)
             if elapsed <= threshold:
                 continue
-            if sequence not in self._flagged:
-                self._flagged.add(sequence)
-                self.stats.n_stragglers_detected += 1
-                if self._metrics is not None:
-                    self._metrics.inc("engine.stragglers.detected")
+            self._flag(slot)
             clone_vm = self._pick_speculative_worker(item)
             if clone_vm is None:
                 continue  # no idle eligible worker right now; retry later
-            self._submit_clone(item, clone_vm)
+            self._submit_clone(slot, item, clone_vm)
 
     def _pick_speculative_worker(self, item: WorkItem) -> Optional[VirtualMachine]:
         """Fastest idle worker the item's configuration has never touched.
@@ -1588,10 +1489,7 @@ class AsyncExecutionEngine:
         ``pick_speculative`` keeps the pick pluggable; otherwise the loop's
         per-group idle heaps answer it in O(log n) without a fleet scan.
         """
-        config = item.request.config
-        excluded = set(self._config_workers.get(config, ()))
-        if self._used_workers_fn is not None:
-            excluded.update(self._used_workers_fn(config))
+        excluded = self._excluded_workers(item.request.config)
         if self._scheduler is not None:
             candidates = [
                 vm for vm in self.loop.idle_workers() if vm.vm_id not in excluded
@@ -1601,16 +1499,14 @@ class AsyncExecutionEngine:
             return self._scheduler.pick_speculative(candidates)
         return self.loop.fastest_idle_worker(excluded)
 
-    def _submit_clone(self, item: WorkItem, vm: VirtualMachine) -> None:
-        """Launch the speculative duplicate of a straggling item."""
+    def _submit_clone(self, slot: _Slot, item: WorkItem, vm: VirtualMachine) -> None:
+        """Launch a speculative duplicate of the slot's straggling primary."""
         request = item.request
         clone = self.loop.submit(request, vm, self.duration_for(vm), speculative=True)
-        self._live[clone.sequence] = clone
-        self._request_id_of[clone.sequence] = self._request_id_of[item.sequence]
-        self._clone_of[clone.sequence] = item.sequence
-        self._clones_of.setdefault(item.sequence, []).append(clone.sequence)
-        self._n_clones[item.sequence] = self._n_clones.get(item.sequence, 0) + 1
-        self._config_workers.setdefault(request.config, set()).add(vm.vm_id)
+        self._slots[clone.sequence] = slot
+        slot.clones.append(clone)
+        slot.n_clones += 1
+        self._exclusions[request.config].workers.add(vm.vm_id)
         if self._scheduler is not None:
             self._scheduler.reserve([vm.vm_id])
             self._scheduler.record_external_load(vm.vm_id)
