@@ -19,11 +19,14 @@ from repro.core import (
     DeploymentResult,
     ExecutionEngine,
     NaiveDistributedSampler,
+    RetryPolicy,
     TraditionalSampler,
     TunaSampler,
     TuningLoop,
     WorkRequest,
 )
+from repro.core import async_engine
+from repro.faults import CrashDecision, CrashModel
 from repro.ml.metrics import relative_range
 from repro.optimizers import RandomSearchOptimizer, SMACOptimizer
 from repro.optimizers.base import Optimizer
@@ -186,6 +189,105 @@ class TestAsyncExecutionEngine:
         config = PostgreSQLSystem().knob_space.default_configuration()
         with pytest.raises(ValueError):
             engine.submit(WorkRequest(config, 1, [], 0))
+
+
+class FailOnCall(CrashModel):
+    """Fails the n-th submission halfway through its window."""
+
+    name = "fail-on-call"
+
+    def __init__(self, call):
+        super().__init__(seed=0)
+        self.call = call
+        self.calls = 0
+
+    def decide(self, context):
+        call = self.calls
+        self.calls += 1
+        if call != self.call:
+            return CrashDecision(failed=False)
+        return CrashDecision(
+            failed=True,
+            fail_at_hours=context.start_hours + 0.5 * context.duration_hours,
+            kind="transient",
+        )
+
+
+class TestConfigExclusionEviction:
+    """The per-config exclusion map is bounded by CONFIG_EXCLUSION_CAPACITY."""
+
+    @pytest.fixture(autouse=True)
+    def _capacity_two(self, monkeypatch):
+        monkeypatch.setattr(async_engine, "CONFIG_EXCLUSION_CAPACITY", 2)
+
+    @staticmethod
+    def _configs(n):
+        space = PostgreSQLSystem().knob_space
+        return [space.sample(np.random.default_rng(i)) for i in range(n)]
+
+    def test_quiescent_configs_go_oldest_first_and_open_ones_stay(self):
+        _, cluster, execution, _ = make_setup(0)
+        engine = AsyncExecutionEngine(execution, cluster)
+        a, b, c, d, e = self._configs(5)
+        workers = cluster.workers
+
+        engine.submit(WorkRequest(a, 1, [workers[0]], 0))
+        engine.next_completed_request()
+        engine.submit(WorkRequest(b, 1, [workers[1]], 1))
+        assert list(engine._exclusions) == [a, b]
+        assert engine.n_evicted_exclusions == 0
+
+        # Over capacity: the quiescent config goes, the open one stays.
+        engine.submit(WorkRequest(c, 1, [workers[2]], 2))
+        assert list(engine._exclusions) == [b, c]
+        assert engine.n_evicted_exclusions == 1
+
+        # Every tracked config has an open request: nothing is evictable,
+        # so the map overshoots its capacity instead.
+        engine.submit(WorkRequest(d, 1, [workers[3]], 3))
+        assert list(engine._exclusions) == [b, c, d]
+        assert engine.n_evicted_exclusions == 1
+
+        for _ in range(3):
+            engine.next_completed_request()
+        engine.submit(WorkRequest(e, 1, [workers[4]], 4))
+        assert list(engine._exclusions) == [d, e]
+        assert engine.n_evicted_exclusions == 3
+
+    def _retry_worker_of_evicted_config(self, used_workers_fn):
+        """Land config ``a`` on worker-0, evict it, then re-submit it on
+        worker-1 with a crash: returns the worker its retry ran on."""
+        _, cluster, execution, _ = make_setup(0)
+        landed = {}
+        engine = AsyncExecutionEngine(
+            execution,
+            cluster,
+            crash_model=FailOnCall(3),
+            retry_policy=RetryPolicy(max_retries=1),
+            used_workers_fn=used_workers_fn(landed),
+        )
+        a, b, c = self._configs(3)
+        for iteration, (config, worker) in enumerate([(a, 0), (b, 1), (c, 2)]):
+            engine.submit(WorkRequest(config, 1, [cluster.workers[worker]], iteration))
+            request, samples = engine.next_completed_request()
+            landed[request.config] = [s.worker_id for s in samples]
+        assert a not in engine._exclusions
+        assert engine.n_evicted_exclusions == 1
+
+        engine.submit(WorkRequest(a, 1, [cluster.workers[1]], 3))
+        _, samples = engine.next_completed_request()
+        assert engine.crash_stats.n_retries == 1
+        return samples[0].worker_id
+
+    def test_retry_of_an_evicted_config_avoids_its_landed_workers(self):
+        retried_on = self._retry_worker_of_evicted_config(
+            lambda landed: lambda config: landed.get(config, [])
+        )
+        assert retried_on not in ("worker-0", "worker-1")
+        # Without the landed-worker fallback the eviction forgot worker-0,
+        # and the retry's placement prefers it.
+        forgetful = self._retry_worker_of_evicted_config(lambda landed: None)
+        assert forgetful == "worker-0"
 
 
 class TestBatchOneEquivalence:
