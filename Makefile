@@ -19,8 +19,9 @@
 #   make bench-refit      noise-adjuster refit schedule on a study-length grid (fits + quality)
 #   make bench-compare    diff fresh BENCH_*.json against benchmarks/baselines
 #   make bench            all figure benchmarks (writes BENCH_*.json)
+#   make loc              code lines per src/repro package (tools/src_lines.py)
 
-.PHONY: test test-fast lint lint-det typecheck bench bench-surrogate bench-forest-fit bench-async bench-hetero bench-straggler bench-resilience bench-graydeg bench-eventloop bench-obs bench-e2e bench-batch bench-refit bench-compare
+.PHONY: test test-fast lint lint-det typecheck bench bench-surrogate bench-forest-fit bench-async bench-hetero bench-straggler bench-resilience bench-graydeg bench-eventloop bench-obs bench-e2e bench-batch bench-refit bench-compare loc
 
 test:
 	./tools/run_tier1.sh
@@ -75,6 +76,9 @@ bench-refit:
 
 bench-compare:
 	python tools/bench_compare.py
+
+loc:
+	python tools/src_lines.py --count core/async_engine.py --count core/async_engine.py:AsyncExecutionEngine
 
 bench:
 	PYTHONPATH=src python -m pytest benchmarks -q

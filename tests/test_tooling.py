@@ -7,6 +7,7 @@ The same fail-loud discipline is asserted for the durable event log: a
 damaged study log must refuse to load, naming the offending line.
 """
 
+import importlib.util
 import json
 import os
 import re
@@ -327,3 +328,40 @@ def test_e2e_bench_is_wired_into_make_and_ci():
         ci = fh.read()
     bench_job = ci[ci.index("\n  bench:"):]
     assert "run: make bench-e2e" in bench_job, "the CI bench job must run bench-e2e"
+
+
+def test_src_lines_counts_code_only_and_reports_in_ci():
+    """`make loc` runs tools/src_lines.py, which counts non-blank,
+    non-comment, non-docstring lines; the CI lint job appends its table to
+    the job summary without gating on it."""
+    spec = importlib.util.spec_from_file_location(
+        "src_lines", os.path.join(TOOLS_DIR, "src_lines.py")
+    )
+    src_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(src_lines)
+    source = (
+        '"""Module docstring."""\n'  # 1
+        "\n"
+        "import os  # trailing comment\n"  # 3
+        "# a comment line\n"
+        "\n"
+        "class A:\n"  # 6
+        '    """Class docstring,\n'
+        '    two lines."""\n'
+        "\n"
+        "    value = (\n"  # 10
+        "        os.sep,\n"  # 11
+        "    )\n"  # 12
+        '    text = """not a\n'  # 13
+        '    docstring"""\n'  # 14
+    )
+    assert src_lines.code_lines(source) == {3, 6, 10, 11, 12, 13, 14}
+
+    with open(os.path.join(REPO_ROOT, "Makefile")) as fh:
+        makefile = fh.read()
+    assert re.search(r"^loc:\n\tpython tools/src_lines.py", makefile, re.MULTILINE)
+    with open(os.path.join(REPO_ROOT, ".github", "workflows", "ci.yml")) as fh:
+        ci = fh.read()
+    lint_job = ci[ci.index("\n  lint:"):ci.index("\n  test:")]
+    assert "tools/src_lines.py --markdown" in lint_job
+    assert "GITHUB_STEP_SUMMARY" in lint_job
