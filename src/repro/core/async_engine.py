@@ -1093,7 +1093,7 @@ class AsyncExecutionEngine:
         if self._scheduler is not None and (item.speculative or item.retried):
             self._scheduler.release([item.vm.vm_id])
 
-    # -- lost copies: crashes and lease expiries --------------------------------
+    # -- lost copies: crashes and lease expiries ------------------------------
     def _handle_failure(
         self, item: WorkItem
     ) -> Optional[Tuple[WorkRequest, List[Sample]]]:
