@@ -18,6 +18,11 @@ Guards two performance properties of the crash-fault subsystem:
    is the *simulated* study's real runtime — milliseconds here, hours in a
    real deployment, where the same absolute overhead vanishes entirely.
 
+The per-wave checkpoint cost is reported, not gated: the same study run
+with a checkpoint every wave records the mean host ms per
+``TuningLoop.checkpoint`` call and the size of the last payload, so the
+cost of every-wave durability can be tracked over time.
+
 Run directly with::
 
     PYTHONPATH=src python -m pytest benchmarks/test_bench_resilience.py -q -s
@@ -112,15 +117,55 @@ def _measure_durability_overhead(seed=9):
     return best
 
 
+def _measure_checkpoint_cost(seed=9):
+    """Mean ms per checkpoint call and last payload kB, every-wave cadence."""
+    orig_checkpoint = TuningLoop.checkpoint
+    calls = []
+
+    def timed_checkpoint(self):
+        t0 = time.perf_counter()
+        try:
+            return orig_checkpoint(self)
+        finally:
+            calls.append(time.perf_counter() - t0)
+
+    TuningLoop.checkpoint = timed_checkpoint
+    try:
+        with tempfile.TemporaryDirectory(prefix="bench_resilience_") as workdir:
+            path = os.path.join(workdir, "study.ckpt")
+            TuningLoop(
+                _make_sampler(seed),
+                max_samples=OVERHEAD_SAMPLES,
+                batch_size=8,
+                event_log=os.path.join(workdir, "events.jsonl"),
+                checkpoint_path=path,
+                checkpoint_every=1,
+            ).run()
+            kb = os.path.getsize(path) / 1024.0
+    finally:
+        TuningLoop.checkpoint = orig_checkpoint
+    return {
+        "calls": len(calls),
+        "ms_per_call": 1000.0 * sum(calls) / len(calls),
+        "kb": kb,
+    }
+
+
 def test_bench_resilience(once):
     def run():
         comparisons = [run_resilience_study(seed=seed) for seed in SEEDS]
         overhead = _measure_durability_overhead()
-        return {"comparisons": comparisons, "overhead": overhead}
+        checkpoint = _measure_checkpoint_cost()
+        return {
+            "comparisons": comparisons,
+            "overhead": overhead,
+            "checkpoint": checkpoint,
+        }
 
     result = once(run)
     comparisons = result["comparisons"]
     overhead = result["overhead"]
+    checkpoint = result["checkpoint"]
 
     print("\nCrash recovery under transient failures (10 workers, batch 8)")
     rows = []
@@ -161,6 +206,11 @@ def test_bench_resilience(once):
         f"{overhead['elapsed_s'] * 1000:.1f} ms; checkpoint every "
         f"{CHECKPOINT_EVERY} waves, ceiling {OVERHEAD_CEILING:.0%})"
     )
+    print(
+        f"  every-wave checkpoint: {checkpoint['ms_per_call']:.2f} ms per call "
+        f"over {checkpoint['calls']} calls, last payload "
+        f"{checkpoint['kb']:.1f} kB (reported, not gated)"
+    )
 
     write_bench_json(
         "resilience",
@@ -172,6 +222,9 @@ def test_bench_resilience(once):
             "durability_overhead_ceiling": OVERHEAD_CEILING,
             "durability_seconds": overhead["durability_s"],
             "elapsed_seconds": overhead["elapsed_s"],
+            "checkpoint_calls": checkpoint["calls"],
+            "checkpoint_ms_per_call": checkpoint["ms_per_call"],
+            "checkpoint_kb": checkpoint["kb"],
         },
         parameters={
             "seeds": list(SEEDS),

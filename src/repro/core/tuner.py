@@ -9,7 +9,9 @@ implements the first half and :func:`deploy_configuration` the second.
 
 from __future__ import annotations
 
+import copyreg
 import hashlib
+import io
 import os
 import pickle
 from dataclasses import dataclass, field
@@ -126,6 +128,59 @@ class DeploymentResult:
         if len(self.values) < 2:
             return 0.0
         return relative_range(self.values)
+
+
+def _pcg64_generator(state: int, inc: int, has_uint32: int, uinteger: int):
+    """Rebuild a PCG64-backed Generator from its four state words.
+
+    The checkpoint writer reduces every such Generator to a call of this
+    function; ``pickle.load`` calls it back.  The constructor seed is
+    irrelevant: the whole state is overwritten before the stream is used.
+    """
+    bit_generator = np.random.PCG64(0)
+    bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": has_uint32,
+        "uinteger": uinteger,
+    }
+    return np.random.Generator(bit_generator)
+
+
+def _reduce_generator(rng: np.random.Generator):
+    """Pickle a PCG64 Generator as its state words; others as numpy does."""
+    bit_generator = rng.bit_generator
+    if type(bit_generator) is not np.random.PCG64:
+        return rng.__reduce__()
+    words = bit_generator.state
+    return _pcg64_generator, (
+        words["state"]["state"],
+        words["state"]["inc"],
+        words["has_uint32"],
+        words["uinteger"],
+    )
+
+
+#: Reductions the checkpoint writer applies on top of the default ones.
+_CHECKPOINT_DISPATCH = copyreg.dispatch_table.copy()
+_CHECKPOINT_DISPATCH[np.random.Generator] = _reduce_generator
+
+
+def dump_checkpoint(obj: Any) -> bytes:
+    """Pickle ``obj`` the way :meth:`TuningLoop.checkpoint` writes it.
+
+    Identical to ``pickle.dumps`` except that PCG64 Generators are stored
+    as their four state words, about a third of numpy's own encoding and
+    several times faster to write.  ``pickle.loads`` reads the result, and
+    restored streams continue bit for bit.  (Forests compact themselves:
+    :class:`~repro.ml.forest.RandomForestRegressor` pickles only its
+    stacked node table.)
+    """
+    buffer = io.BytesIO()
+    pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
+    pickler.dispatch_table = _CHECKPOINT_DISPATCH
+    pickler.dump(obj)
+    return buffer.getvalue()
 
 
 class StudyInterrupted(RuntimeError):
@@ -678,9 +733,11 @@ class TuningLoop:
         The checkpoint is a single pickle of the loop *and* its live driver
         state: one object graph, so every shared reference (engine ↔ sampler
         ↔ cluster ↔ event log ↔ RNG streams) survives round-tripping intact.
-        Written via a temp file + :func:`os.replace`, so a kill mid-write
-        leaves the previous checkpoint untouched; the sha256 digest recorded
-        in the event log lets :meth:`resume` detect truncation/corruption.
+        PCG64 streams are stored as their state words and each fitted
+        forest as one node table (see :func:`dump_checkpoint`).  Written via
+        a temp file + :func:`os.replace`, so a kill mid-write leaves the
+        previous checkpoint untouched; the sha256 digest recorded in the
+        event log lets :meth:`resume` detect truncation/corruption.
 
         With ``checkpoint_keep=k`` each checkpoint is additionally
         hard-linked to a per-wave snapshot (``<path>.w<wave>``) and the
@@ -696,10 +753,7 @@ class TuningLoop:
                 "checkpoint() is only valid while an asynchronous run is "
                 "active (it is called automatically at wave boundaries)"
             )
-        payload = pickle.dumps(
-            {"loop": self, "state": self._active_state},
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
+        payload = dump_checkpoint({"loop": self, "state": self._active_state})
         digest = hashlib.sha256(payload).hexdigest()
         path = os.path.abspath(self.checkpoint_path)
         tmp_path = path + ".tmp"
@@ -753,6 +807,8 @@ class TuningLoop:
         :meth:`run` on it reproduces the uninterrupted run's remaining
         trajectory bit-for-bit.  The ``stop_after_waves`` kill switch is
         cleared on the resumed loop (the simulated kill already happened).
+        Loading is a plain ``pickle.load``, so checkpoints written before
+        the compact encoding of :func:`dump_checkpoint` load as well.
         """
         path = os.fspath(path)
         with open(path, "rb") as fh:

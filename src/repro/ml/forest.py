@@ -37,6 +37,12 @@ the number of rows and the number of trees.  The law-of-total-variance
 decomposition (variance of tree means + mean of within-leaf variances) is
 unchanged from the per-tree implementation, which survives as
 ``predict_mean_std_pointer`` for equivalence testing and benchmarking.
+
+Pickling
+--------
+A fitted forest pickles only the stacked table, without its derived
+``_child`` routing array; ``trees_`` and ``_child`` are rebuilt on load, so
+each node is written once per checkpoint.
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ import numpy as np
 
 from repro.ml.tree import (
     DecisionTreeRegressor,
+    FlatTree,
     check_max_features,
     resolve_split_feature_count,
 )
@@ -67,8 +74,7 @@ class _FlatForest:
 
     _COMPACT_EVERY = 4
 
-    def __init__(self, trees) -> None:
-        flats = [tree.flat for tree in trees]
+    def __init__(self, flats) -> None:
         sizes = np.array([flat.n_nodes for flat in flats], dtype=np.intp)
         offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
         self.roots = offsets.astype(np.intp)
@@ -84,11 +90,49 @@ class _FlatForest:
         self.value = np.concatenate([f.value for f in flats])
         self.variance = np.concatenate([f.variance for f in flats])
         self.n_samples = np.concatenate([f.n_samples for f in flats])
+        self._link()
+
+    def _link(self) -> None:
+        """Build the interleaved ``_child`` routing table from left/right."""
         ids = np.arange(self.left.shape[0], dtype=np.intp)
         is_leaf = self.left < 0
         self._child = np.empty(2 * self.left.shape[0], dtype=np.intp)
         self._child[0::2] = np.where(is_leaf, ids, self.left)
         self._child[1::2] = np.where(is_leaf, ids, self.right)
+
+    def __getstate__(self) -> dict:
+        # ``_child`` is derived from left/right; rebuilt on load.
+        state = self.__dict__.copy()
+        del state["_child"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._link()
+
+    def tree_tables(self) -> list[FlatTree]:
+        """Per-tree :class:`~repro.ml.tree.FlatTree` node tables.
+
+        Node arrays are views into the stacked table; child indices are
+        shifted back to each tree's own numbering.
+        """
+        ends = np.append(self.roots[1:], self.left.shape[0])
+        tables = []
+        for start, end in zip(self.roots, ends):
+            left = self.left[start:end]
+            right = self.right[start:end]
+            tables.append(
+                FlatTree(
+                    feature=self.feature[start:end],
+                    threshold=self.threshold[start:end],
+                    left=np.where(left >= 0, left - start, -1),
+                    right=np.where(right >= 0, right - start, -1),
+                    value=self.value[start:end],
+                    variance=self.variance[start:end],
+                    n_samples=self.n_samples[start:end],
+                )
+            )
+        return tables
 
     def leaf_indices(self, X: np.ndarray, roots: Optional[np.ndarray] = None) -> np.ndarray:
         """(n_rows, n_trees) leaf node index for every row under every tree
@@ -220,7 +264,13 @@ class RandomForestRegressor:
                 self.max_features, self.n_features_
             ),
         )
-        self.trees_ = [
+        self.trees_ = self._wrap_trees(flats)
+        self._flat = _FlatForest(flats)
+        return self
+
+    def _wrap_trees(self, flats) -> list:
+        assert self.n_features_ is not None
+        return [
             DecisionTreeRegressor._from_flat(
                 flat,
                 self.n_features_,
@@ -231,8 +281,6 @@ class RandomForestRegressor:
             )
             for flat in flats
         ]
-        self._flat = _FlatForest(self.trees_)
-        return self
 
     def fit_pointer(self, X, y) -> "RandomForestRegressor":
         """Per-tree, per-node reference fit (bit-for-bit equal to :meth:`fit`)."""
@@ -250,8 +298,21 @@ class RandomForestRegressor:
             )
             tree.fit_pointer(X, y, sample_weight=w)
             self.trees_.append(tree)
-        self._flat = _FlatForest(self.trees_)
+        self._flat = _FlatForest([tree.flat for tree in self.trees_])
         return self
+
+    # ------------------------------------------------------------- pickling
+    def __getstate__(self) -> dict:
+        # The stacked table holds every tree's nodes; writing ``trees_`` too
+        # would store each node twice.  Trees are rebuilt from it on load.
+        state = self.__dict__.copy()
+        state["trees_"] = []
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        if self._flat is not None:
+            self.trees_ = self._wrap_trees(self._flat.tree_tables())
 
     def _check_fitted(self) -> None:
         if not self.trees_ or self._flat is None:

@@ -301,10 +301,22 @@ class DecisionTreeRegressor:
         self.min_samples_split = min_samples_split
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
-        self._rng = np.random.default_rng(seed)
+        self._seed = seed
+        self._rng_stream: Optional[np.random.Generator] = None
         self._root: Optional[_Node] = None
         self._flat: Optional[FlatTree] = None
         self.n_features_: Optional[int] = None
+
+    @property
+    def _rng(self) -> np.random.Generator:
+        """Feature-subsampling stream, created from the seed on first use.
+
+        Trees wrapped around a forest builder's node table never draw from
+        it, so they never pay for building it.
+        """
+        if self._rng_stream is None:
+            self._rng_stream = np.random.default_rng(self._seed)
+        return self._rng_stream
 
     @classmethod
     def _from_flat(
