@@ -19,6 +19,12 @@ one fit (``fit_peak_mb``) is deterministic for fixed inputs and is
 capped at ``PEAK_CAP_FACTOR`` times the peak of the per-feature builder
 the feature-blocked one replaced, so the builder's scratch stays bounded.
 
+The fits a paper-scale study makes are timed last (``STUDY_SHAPES``): the
+noise adjuster's forest at 30 and 90 rows over 25 telemetry columns plus a
+10-worker one-hot, and a SMAC refit on 40 encoded PostgreSQL configurations.
+Their median fit times (``study_fit_ms``) and tracemalloc peaks
+(``study_fit_peak_mb``) are reported only, not capped.
+
 The two fits are bit-for-bit equivalent (asserted here on the emitted node
 tables, and exhaustively in ``tests/ml/test_fit_equivalence.py``), so the
 speedup compares identical work.
@@ -61,6 +67,9 @@ ASK_N_OBSERVATIONS = 200
 ASK_COLD_BUDGET_SECONDS = 1.0  # surrogate refit + candidates + predict + EI
 ASK_WARM_BUDGET_SECONDS = 0.25  # cached surrogate: candidates + predict + EI
 
+#: Timed fits per study shape; ``study_fit_ms`` is their median.
+STUDY_FIT_REPEATS = 15
+
 
 def _forest(seed=0):
     return RandomForestRegressor(
@@ -85,7 +94,11 @@ def _smac_problem(n, d):
 
 
 def _noise_problem(n=30, n_workers=500):
-    """Standardised telemetry plus a worker one-hot, as the noise adjuster fits."""
+    """Standardised telemetry plus a worker one-hot, as the noise adjuster fits.
+
+    Called with the 10-worker fleet of a paper-scale study, every one-hot
+    column is two-valued and most rows share a worker with others.
+    """
     rng = np.random.default_rng(1)
     telemetry = rng.normal(size=(n, 25))
     workers = [f"worker-{i}" for i in range(n_workers)]
@@ -98,11 +111,28 @@ def _noise_problem(n=30, n_workers=500):
     return X, y
 
 
+def _postgres_problem(n):
+    """Encoded PostgreSQL knob configurations, as a SMAC refit sees them."""
+    space = build_postgres_knob_space(seed=0)
+    configs = space.sample_batch(n, rng=np.random.default_rng(2))
+    y = np.array([_postgres_cost(config) for config in configs])
+    return space.encode_batch(configs), y + np.random.default_rng(3).normal(0.0, 0.01, n)
+
+
 #: shape name -> (forest factory, problem factory)
 FIT_SHAPES = {
     "n1000_d12": (_forest, lambda: _smac_problem(N_TRAIN, N_FEATURES)),
     "n30_d525": (_noise_forest, _noise_problem),
     "n60_d21": (_forest, lambda: _smac_problem(60, 21)),
+}
+
+
+#: The fits of a paper-scale study (see ``repro.core.noise_adjuster`` and
+#: ``repro.optimizers.smac``): shape name -> (forest factory, problem factory).
+STUDY_SHAPES = {
+    "noise_30x35": (_noise_forest, lambda: _noise_problem(30, 10)),
+    "noise_90x35": (_noise_forest, lambda: _noise_problem(90, 10)),
+    "smac_40x21": (_forest, lambda: _postgres_problem(40)),
 }
 
 
@@ -134,6 +164,17 @@ def _best_of(fn, repeats):
     return best, result
 
 
+def _median_fit_ms(make_forest, X, y, repeats):
+    """Median wall time (ms) of ``repeats`` fits of a fresh forest."""
+    times = []
+    for _ in range(repeats):
+        forest = make_forest(seed=0)
+        t0 = time.perf_counter()
+        forest.fit(X, y)
+        times.append(time.perf_counter() - t0)
+    return float(np.median(times)) * 1e3
+
+
 def test_bench_forest_fit(once):
     def run():
         X, y = _smac_problem(N_TRAIN, N_FEATURES)
@@ -156,6 +197,14 @@ def test_bench_forest_fit(once):
             name: _fit_peak_mb(make_forest, *make_problem())
             for name, (make_forest, make_problem) in FIT_SHAPES.items()
         }
+        study_ms = {}
+        study_peaks = {}
+        for name, (make_forest, make_problem) in STUDY_SHAPES.items():
+            X_study, y_study = make_problem()
+            study_ms[name] = _median_fit_ms(
+                make_forest, X_study, y_study, STUDY_FIT_REPEATS
+            )
+            study_peaks[name] = _fit_peak_mb(make_forest, X_study, y_study)
         return {
             "vectorized_seconds": vectorized,
             "pointer_seconds": pointer,
@@ -165,6 +214,8 @@ def test_bench_forest_fit(once):
             "wide_speedup": wide_pointer / wide,
             "smac_60x21_seconds": small,
             "fit_peak_mb": peaks,
+            "study_fit_ms": study_ms,
+            "study_fit_peak_mb": study_peaks,
         }
 
     result = once(run)
@@ -183,6 +234,11 @@ def test_bench_forest_fit(once):
     print(f"SMAC refit ({N_TREES} trees, 60x21): {result['smac_60x21_seconds'] * 1e3:.1f} ms")
     for name, peak in result["fit_peak_mb"].items():
         print(f"  fit peak {name:10s} {peak:6.2f} MiB (cap {caps[name]:.2f})")
+    print(f"Study-shaped fits ({N_TREES} trees, median of {STUDY_FIT_REPEATS})")
+    for name, ms in result["study_fit_ms"].items():
+        peak = result["study_fit_peak_mb"][name]
+        print(f"  {name:12s} {ms:7.2f} ms  peak {peak:5.2f} MiB")
+    print(f"  total        {sum(result['study_fit_ms'].values()):7.2f} ms")
 
     write_bench_json(
         "forest_fit",
@@ -198,12 +254,17 @@ def test_bench_forest_fit(once):
             "smac_60x21_seconds": result["smac_60x21_seconds"],
             "fit_peak_mb": result["fit_peak_mb"],
             "fit_peak_mb_cap": caps,
+            "study_fit_ms": result["study_fit_ms"],
+            "study_fit_ms_total": sum(result["study_fit_ms"].values()),
+            "study_fit_peak_mb": result["study_fit_peak_mb"],
         },
         parameters={
             "n_trees": N_TREES,
             "n_train": N_TRAIN,
             "n_features": N_FEATURES,
             "fit_shapes": sorted(FIT_SHAPES),
+            "study_shapes": sorted(STUDY_SHAPES),
+            "study_fit_repeats": STUDY_FIT_REPEATS,
         },
     )
 
