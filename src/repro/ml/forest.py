@@ -47,6 +47,7 @@ each node is written once per checkpoint.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Optional
 
 import numpy as np
@@ -58,6 +59,9 @@ from repro.ml.tree import (
     resolve_split_feature_count,
 )
 from repro.ml.treebuilder import build_forest_flat
+
+#: The node arrays of a :class:`~repro.ml.tree.FlatTree`.
+_FIELDS = [field.name for field in dataclasses.fields(FlatTree)]
 
 
 class _FlatForest:
@@ -74,23 +78,21 @@ class _FlatForest:
 
     _COMPACT_EVERY = 4
 
-    def __init__(self, flats) -> None:
-        sizes = np.array([flat.n_nodes for flat in flats], dtype=np.intp)
-        offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-        self.roots = offsets.astype(np.intp)
-        # Leaves keep left/right == -1 (offsets must not touch the sentinel).
-        self.left = np.concatenate(
-            [np.where(f.left >= 0, f.left + off, -1) for f, off in zip(flats, offsets)]
-        )
-        self.right = np.concatenate(
-            [np.where(f.right >= 0, f.right + off, -1) for f, off in zip(flats, offsets)]
-        )
-        self.feature = np.concatenate([f.feature for f in flats])
-        self.threshold = np.concatenate([f.threshold for f in flats])
-        self.value = np.concatenate([f.value for f in flats])
-        self.variance = np.concatenate([f.variance for f in flats])
-        self.n_samples = np.concatenate([f.n_samples for f in flats])
+    def __init__(self, table: FlatTree, roots: np.ndarray) -> None:
+        self.__dict__.update(vars(table))
+        self.roots = roots
         self._link()
+
+    @classmethod
+    def stack(cls, flats) -> "_FlatForest":
+        """Stack per-tree tables, offsetting child indices per tree."""
+        sizes = [flat.n_nodes for flat in flats]
+        roots = np.cumsum([0] + sizes[:-1]).astype(np.intp)
+        table = {name: np.concatenate([vars(f)[name] for f in flats]) for name in _FIELDS}
+        shift = np.repeat(roots, sizes)
+        for side in ("left", "right"):  # leaves keep the -1 sentinel
+            table[side] = np.where(table[side] >= 0, table[side] + shift, -1)
+        return cls(FlatTree(**table), roots)
 
     def _link(self) -> None:
         """Build the interleaved ``_child`` routing table from left/right."""
@@ -118,20 +120,11 @@ class _FlatForest:
         """
         ends = np.append(self.roots[1:], self.left.shape[0])
         tables = []
-        for start, end in zip(self.roots, ends):
-            left = self.left[start:end]
-            right = self.right[start:end]
-            tables.append(
-                FlatTree(
-                    feature=self.feature[start:end],
-                    threshold=self.threshold[start:end],
-                    left=np.where(left >= 0, left - start, -1),
-                    right=np.where(right >= 0, right - start, -1),
-                    value=self.value[start:end],
-                    variance=self.variance[start:end],
-                    n_samples=self.n_samples[start:end],
-                )
-            )
+        for start, end in zip(self.roots.tolist(), ends.tolist()):
+            table = {name: getattr(self, name)[start:end] for name in _FIELDS}
+            for side in ("left", "right"):
+                table[side] = np.where(table[side] >= 0, table[side] - start, -1)
+            tables.append(FlatTree(**table))
         return tables
 
     def leaf_indices(self, X: np.ndarray, roots: Optional[np.ndarray] = None) -> np.ndarray:
@@ -252,7 +245,7 @@ class RandomForestRegressor:
         X, y = self._validate_fit(X, y)
         self.n_features_ = X.shape[1]
         seeds, weights = self._draw_tree_inputs(X.shape[0])
-        flats = build_forest_flat(
+        table, roots = build_forest_flat(
             X,
             y,
             weights,
@@ -264,8 +257,8 @@ class RandomForestRegressor:
                 self.max_features, self.n_features_
             ),
         )
-        self.trees_ = self._wrap_trees(flats)
-        self._flat = _FlatForest(flats)
+        self._flat = _FlatForest(table, roots)
+        self.trees_ = self._wrap_trees(self._flat.tree_tables())
         return self
 
     def _wrap_trees(self, flats) -> list:
@@ -298,7 +291,7 @@ class RandomForestRegressor:
             )
             tree.fit_pointer(X, y, sample_weight=w)
             self.trees_.append(tree)
-        self._flat = _FlatForest([tree.flat for tree in self.trees_])
+        self._flat = _FlatForest.stack([tree.flat for tree in self.trees_])
         return self
 
     # ------------------------------------------------------------- pickling

@@ -372,7 +372,7 @@ class DecisionTreeRegressor:
         self.n_features_ = X.shape[1]
         from repro.ml.treebuilder import build_forest_flat
 
-        self._flat = build_forest_flat(
+        self._flat, _ = build_forest_flat(
             X,
             y,
             w[None, :],
@@ -381,7 +381,7 @@ class DecisionTreeRegressor:
             min_samples_split=self.min_samples_split,
             min_samples_leaf=self.min_samples_leaf,
             n_split_features=self._n_split_features(),
-        )[0]
+        )
         self._root = None
         return self
 

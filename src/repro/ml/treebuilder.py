@@ -1,8 +1,8 @@
 """Level-synchronous, all-trees-at-once random-forest construction.
 
 :func:`build_forest_flat` grows every tree of a forest simultaneously, one
-depth level per iteration, and emits preorder-numbered
-:class:`repro.ml.tree.FlatTree` node tables directly — no pointer nodes, no
+depth level per iteration, and emits one stacked, preorder-numbered
+:class:`repro.ml.tree.FlatTree` node table directly — no pointer nodes, no
 per-node Python recursion, and no per-node sorting:
 
 * each feature column is argsorted **once per fit** (stable mergesort), and
@@ -13,28 +13,31 @@ per-node Python recursion, and no per-node sorting:
   order at all.  They can never yield a split, so skipping them is exact;
   they still take part in the feature-subsampling draws;
 * the sorted member orders of the remaining features are packed into
-  **feature blocks**: one concatenated slot array per block with one
-  ``(slot, feature)`` entry per member and feature — feature-major, grouped
-  by node within a feature and x-sorted within a node, so an entry's
-  feature follows from its position.  A node's order is *stably
-  partitioned* when the node splits, which preserves
-  ``(feature value, row index)`` order in both children — exactly the order
-  a per-node stable argsort would produce;
-* per level, each block gets one retire filter, one segmented split scan
-  and one stable partition keyed by ``(feature, node)``.  The scan scatters
-  the members of every ``(feature, node)`` segment into a zero-padded
-  rectangle column, and weighted running sums down the columns score every
-  candidate boundary of every ``(tree, node, feature)`` at once.  Segments
-  whose sorted values start and end equal are constant in that node and are
-  not scanned.
+  **feature blocks** of member slots, one **feature row** per feature.
+  Every row lists the expanding nodes' members as one run per node, in
+  node order, x-sorted within a run — so a node's run has the same start
+  and length in every row of every block, and those bounds come from the
+  node level rather than from the entries.  A split *stably partitions*
+  each run into (lefts, rights), which preserves ``(feature value, row
+  index)`` order in both children — exactly the order a per-node stable
+  argsort would produce;
+* per level, each block gets one segmented split scan and one partition.
+  The scan skips ``(feature, node)`` segments outside the node's feature
+  subset and segments whose sorted values start and end equal, lays the
+  rest out **position-major** (see :func:`_position_major`) for padding-free
+  running sums, and scores only boundaries between distinct values that
+  leave ``min_samples_leaf`` on both sides.  The partition's run bounds,
+  child offsets and left counts are computed once per level and shared by
+  every feature row, and it drops the members of children that will not
+  expand, so leaves leave the blocks in the same pass.
 
 Scratch memory is bounded by two module constants rather than by the forest
 shape: a block holds at most :data:`BLOCK_ENTRIES` entries (but at least one
-feature), and the scan splits a block's segments — sorted by length, so
-columns of similar height share a rectangle — into chunks of at most
-:data:`SCAN_CELLS` padded cells.  A chunk's budget is raised to one
-feature's rectangle at that level (expanding nodes × longest node), so a
-large fit never needs more rectangle passes than one per feature.
+feature row), and the scan scores a block's segments — sorted by length —
+in chunks of at most :data:`SCAN_CELLS` real entries (but at least one
+segment).  A chunk's budget is raised to one feature row at that level, so
+a large fit never needs more chunks than one per feature; the partition
+works through a block's rows in groups of the same budget.
 
 Bit-for-bit parity with the pointer reference
 ---------------------------------------------
@@ -50,13 +53,14 @@ rather than approximate:
    calls.
 2. **Summation order** — every statistic is a sequential cumulative sum
    over members in a defined order (ascending row index for node stats,
-   feature-sorted for split scans).  Every rectangle column holds one
-   segment, top-aligned and zero-padded below, so the running sums down a
-   column perform the same additions as the reference's per-node 1-D
-   cumsums whichever block, chunk or column the segment lands in.
+   feature-sorted for split scans).  In the position-major layout row ``p``
+   adds its segments' ``p``-th entries to their running sums in row
+   ``p - 1``, which is the reference's per-node 1-D ``np.cumsum`` addition
+   for addition whichever block, chunk or position a segment lands in.
+   Split scores use the reference's operands and operation order.
 3. **Tie-breaking** — first minimum along the sorted positions within a
    feature, lowest feature index across features (``np.argmin`` over a
-   feature-major, ``inf``-masked score matrix), matching the reference's
+   feature-major, ``inf``-masked score table), matching the reference's
    strict ``<`` scan in ascending feature order.
 """
 
@@ -69,64 +73,61 @@ import numpy as np
 from repro.ml.tree import FlatTree
 
 #: Most ``(slot, feature)`` entries one feature block holds; a block always
-#: holds at least one feature.
-BLOCK_ENTRIES = 1 << 13
+#: holds at least one feature row.
+BLOCK_ENTRIES = 1 << 15
 
-#: Padded-cell budget of one split-scan chunk; raised per level to one
-#: feature's rectangle (expanding nodes × longest node).
+#: Real entries one split-scan chunk and one partition group hold at most;
+#: raised per level to one feature row (the expanding nodes' members).
 SCAN_CELLS = 1 << 12
 
 
-def _segment_starts(ids: np.ndarray) -> np.ndarray:
-    """Start offsets of maximal runs of equal values in a sorted array."""
-    if ids.size == 0:
-        return np.empty(0, dtype=np.intp)
-    return np.concatenate(
-        ([0], np.flatnonzero(ids[1:] != ids[:-1]) + 1)
-    ).astype(np.intp)
+def _position_major(starts: np.ndarray, lengths: np.ndarray) -> tuple:
+    """Lay segments ``[starts, starts + lengths)`` out position-major.
 
-
-def _stable_partition(key: np.ndarray, left: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Gather order splitting each run of equal ``key`` into (lefts, rights).
-
-    ``key`` is grouped into runs (one per segment); ``left``/``keep`` are
-    per-entry flags.  Entries with ``keep`` False are dropped; within a
-    surviving run lefts keep their relative order, then rights keep theirs
-    — which preserves both the ascending-row and the feature-sorted
-    invariants in the children.  Integer prefix counts make this exact: with
-    ``lefts`` the inclusive running count of lefts, the ``i``-th entry of a
-    run starting at ``s`` and ending at ``e`` moves to
-    ``s + lefts[i] - lefts_before(s) - 1`` if it goes left, else to
-    ``i - lefts[i] + lefts[e]``.
+    ``lengths`` must be ascending and positive.  Row ``p`` of the layout
+    holds entry ``p`` of every segment longer than ``p`` — with lengths
+    ascending, the last ``sizes[p]`` segments, so row ``p``'s segments are
+    the aligned suffix of row ``p - 1``'s.  Returns ``(seg, source, sizes,
+    last)``: layout entry ``q`` is entry ``source[q]`` of the source array
+    and belongs to segment ``seg[q]``; ``sizes`` lists the row sizes and
+    ``last[j]`` is the layout position of segment ``j``'s last entry.
     """
-    kept = np.flatnonzero(keep)
-    if kept.size == 0:
-        return kept
-    starts = _segment_starts(key.take(kept))
-    lengths = np.diff(np.append(starts, kept.size))
-    left = left.take(kept)
-    lefts = np.cumsum(left, dtype=np.intp)
-    new_pos = np.arange(kept.size, dtype=np.intp)
-    new_pos -= lefts
-    new_pos += np.repeat(lefts.take(starts + lengths - 1), lengths)
-    lefts += np.repeat(starts - lefts.take(starts) + left.take(starts) - 1, lengths)
-    np.copyto(new_pos, lefts, where=left)
-    out = np.empty_like(kept)
-    out[new_pos] = kept
-    return out
+    n_seg = lengths.size
+    sizes = n_seg - np.searchsorted(lengths, np.arange(lengths[-1]), side="right")
+    # Row p ends at ends[p] and lists segments n_seg - sizes[p] .. n_seg - 1.
+    row_base = np.cumsum(sizes) - n_seg
+    seg = np.arange(row_base[-1] + n_seg) - np.repeat(row_base, sizes)
+    source = starts.take(seg)
+    source += np.repeat(np.arange(sizes.size), sizes)
+    last = row_base.take(lengths - 1) + np.arange(n_seg)
+    return seg, source, sizes.tolist(), last
+
+
+def _running_sums(values: np.ndarray, sizes: List[int]) -> None:
+    """Per-segment running sums, in place, over a position-major layout.
+
+    ``values`` is ``(k, n_entries)``.  Each row adds the running sums of the
+    previous row's aligned suffix: the same additions, in the same order,
+    as one ``np.cumsum`` per segment.
+    """
+    end = sizes[0]
+    for size in sizes[1:]:
+        values[:, end : end + size] += values[:, end - size : end]
+        end += size
 
 
 def _chunk_bounds(lengths: np.ndarray, budget: int) -> List[Tuple[int, int]]:
-    """Split ascending segment lengths into ``[lo, hi)`` runs for the scan.
+    """Split segment lengths into ``[lo, hi)`` runs for the scan.
 
-    A run's padded rectangle (run size × its longest segment) stays within
-    ``budget`` cells; a run always holds at least one segment.
+    A run's entries (the sum of its lengths) stay within ``budget``; a run
+    always holds at least one segment.
     """
+    ends = np.cumsum(lengths)
     bounds = []
     lo = 0
     while lo < lengths.size:
-        cells = np.arange(1, lengths.size - lo + 1) * lengths[lo:]
-        hi = lo + max(1, int(np.searchsorted(cells, budget, side="right")))
+        done = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, done + budget, side="right")))
         bounds.append((lo, hi))
         lo = hi
     return bounds
@@ -135,147 +136,134 @@ def _chunk_bounds(lengths: np.ndarray, budget: int) -> List[Tuple[int, int]]:
 def _scan_block(
     features: np.ndarray,
     slots: np.ndarray,
-    rank_of: np.ndarray,
+    level: "_ScanLevel",
     mask: np.ndarray,
-    budget: int,
-    X: np.ndarray,
-    row_of: np.ndarray,
-    stats_of: np.ndarray,
-    min_samples_leaf: int,
     score: np.ndarray,
     threshold: np.ndarray,
 ) -> None:
     """Score every in-subset ``(feature, node)`` segment of one block.
 
-    ``slots`` lists the block's member slots once per feature of
-    ``features``, feature-major; ``rank_of`` maps a slot to its node's
-    expanding rank.  ``mask``, ``score`` and ``threshold`` are feature-major
-    ``(n_features, n_expand)`` tables, indexed flat by the segment key
-    ``feature * n_expand + rank``.
+    ``slots`` holds one feature row per feature of ``features``; ``mask``,
+    ``score`` and ``threshold`` are feature-major ``(n_features, n_expand)``
+    tables, indexed flat by the segment key ``feature * n_expand + rank``.
     """
-    n_features, n_expand = mask.shape
-    key = np.repeat(features * n_expand, slots.size // features.size)
-    key += rank_of.take(slots)
-    sel = np.flatnonzero(mask.reshape(-1).take(key))
-    key = key.take(sel)
-    sub = slots.take(sel)
-    del sel
-
-    def x_at(entries, feats):
-        return X.reshape(-1).take(row_of.take(sub.take(entries)) * n_features + feats)
-
-    starts = _segment_starts(key)
-    lengths = np.diff(np.append(starts, key.size))
-    seg_feat = key.take(starts) // n_expand
+    n_expand = level.starts.size
+    row = slots.size // features.size
+    local = np.flatnonzero(mask.take(features, axis=0) & level.splittable)
+    if local.size == 0:
+        return
+    local, rank = np.divmod(local, n_expand)
+    first = local * row
+    first += level.starts.take(rank)
+    key = features.take(local)
+    del local
+    # x of entry e in feature f is X.T[f, row(slot)], and row(slot) is the
+    # slot minus its tree's offset, which is fixed per segment.
+    x_off = key * level.n_rows
+    x_off -= level.tree_off.take(rank)
+    key *= n_expand
+    key += rank
+    length = level.lengths.take(rank)
+    del rank
     # A sorted segment whose first and last values are equal is constant
     # in its node and has no valid boundary.
-    scan = np.flatnonzero(
-        (lengths >= 2)
-        & (x_at(starts, seg_feat) != x_at(starts + lengths - 1, seg_feat))
-    )
+    x_first = level.XT.take(slots.take(first) + x_off)
+    last = first + length
+    last -= 1
+    scan = np.flatnonzero(level.XT.take(slots.take(last) + x_off) != x_first)
+    del x_first, last
     if scan.size == 0:
         return
-    scan = scan.take(np.argsort(lengths.take(scan), kind="stable"))
-    # Lay the scanned segments out back to back, shortest first, so every
-    # chunk below is one contiguous slice.
-    seg_len = lengths.take(scan)
-    seg_end = np.cumsum(seg_len)
-    entries = np.arange(int(seg_end[-1]), dtype=np.intp)
-    entries += np.repeat(starts.take(scan) - (seg_end - seg_len), seg_len)
-    x = x_at(entries, np.repeat(seg_feat.take(scan), seg_len))
-    seg_slots = sub.take(entries)
-    seg_key = key.take(starts.take(scan))
-    del entries, key, sub  # keep only chunk-sized scratch alive below
-    for lo, hi in _chunk_bounds(seg_len, budget):
-        first = int(seg_end[lo] - seg_len[lo])
-        last = int(seg_end[hi - 1])
+    scan = scan.take(np.argsort(length.take(scan), kind="stable"))
+    length = length.take(scan)
+    first = first.take(scan)
+    x_off = x_off.take(scan)
+    key = key.take(scan)
+    del scan
+    budget = max(SCAN_CELLS, row)
+    for lo, hi in _chunk_bounds(length, budget):
         _score_chunk(
-            seg_len[lo:hi],
-            seg_key[lo:hi],
-            x[first:last],
-            seg_slots[first:last],
-            stats_of,
-            min_samples_leaf,
-            score,
-            threshold,
+            slots, first[lo:hi], length[lo:hi], x_off[lo:hi], key[lo:hi],
+            level, score, threshold,
         )
 
 
-def _column_cells(seg_len: np.ndarray) -> np.ndarray:
-    """Flat rectangle cells for segments stored back to back.
-
-    Entry ``i`` of segment ``j`` goes to row ``i``, column ``j`` of a
-    C-ordered ``(max(seg_len), seg_len.size)`` rectangle.
-    """
-    n_seg = seg_len.size
-    seg_start = np.cumsum(seg_len) - seg_len
-    cell = np.arange(int(seg_start[-1] + seg_len[-1]), dtype=np.intp)
-    cell -= np.repeat(seg_start, seg_len)
-    cell *= n_seg
-    cell += np.repeat(np.arange(n_seg, dtype=np.intp), seg_len)
-    return cell
-
-
 def _score_chunk(
-    seg_len: np.ndarray,
-    seg_key: np.ndarray,
-    x: np.ndarray,
     slots: np.ndarray,
-    stats_of: np.ndarray,
-    min_samples_leaf: int,
+    first: np.ndarray,
+    length: np.ndarray,
+    x_off: np.ndarray,
+    key: np.ndarray,
+    level: "_ScanLevel",
     score: np.ndarray,
     threshold: np.ndarray,
 ) -> None:
-    """Best boundary of each segment in one rectangle (one column per segment).
+    """Best boundary of each segment in one chunk (lengths ascending).
 
-    ``x``/``slots`` hold the segments' entries back to back, shortest
-    segment first, so the last one sets the rectangle height.  A column is
-    its segment top-aligned and zero-padded, which makes the column running
-    sums the reference's per-node cumsums exactly.
+    Running sums run position-major (no padding).  Only boundaries
+    between distinct values that keep ``min_samples_leaf`` on both sides
+    are scored, with the reference's operands and operation order; each
+    segment keeps its first minimum along its sorted positions.
     """
-    n_seg = seg_len.size
-    max_len = int(seg_len[-1])
-    cell = _column_cells(seg_len)
-    xs = np.full((max_len, n_seg), np.nan)
-    xs.reshape(-1)[cell] = x
-    rect = np.zeros((3, max_len, n_seg))
-    for k in range(3):
-        rect[k].reshape(-1)[cell] = stats_of[k].take(slots)
-    del cell
-    np.cumsum(rect, axis=1, out=rect)
-    cw, cwy, cwyy = rect
-    cols = np.arange(n_seg)
-    last = seg_len - 1
-    total_w = cw[last, cols]
-    total_wy = cwy[last, cols]
-    total_wyy = cwyy[last, cols]
-    left_w = cw[:-1]
-    right_w = total_w - left_w
-    valid = xs[:-1] < xs[1:]
-    valid &= left_w >= min_samples_leaf
-    valid &= right_w >= min_samples_leaf
-    # Same operations, operand order and rounding as the reference's
-    # ``sse_left + sse_right``, evaluated in place: ``sse_right`` reuses
-    # ``right_w`` once divided by, and ``sse`` overwrites the ``cwy`` sums.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        right_wy = total_wy - cwy[:-1]
-        right_wy **= 2
-        right_wy /= right_w
-        sse_right = np.subtract(total_wyy, cwyy[:-1], out=right_w)
-        sse_right -= right_wy
-        del right_wy
-        sse = cwy[:-1]
-        sse **= 2
-        sse /= left_w
-        np.subtract(cwyy[:-1], sse, out=sse)
-        sse += sse_right
-    sse[~valid] = np.inf
-    best_pos = np.argmin(sse, axis=0)
-    best_scores = sse[best_pos, cols]
-    has = np.flatnonzero(best_scores < np.inf)
-    at = seg_key[has]
-    score[at] = best_scores[has]
-    threshold[at] = (xs[best_pos[has], has] + xs[best_pos[has] + 1, has]) / 2.0
+    seg, source, sizes, last = _position_major(first, length)
+    member = slots.take(source)
+    del source
+    x = level.XT.take(member + x_off.take(seg))
+    sums = level.stats_of.take(member, axis=1)
+    del member
+    _running_sums(sums, sizes)
+    totals = sums.take(last, axis=1)
+    # Boundary after entry p of a segment: left entry ``a`` in row p, right
+    # entry ``a + sizes[p + 1]`` in row p + 1.  Every entry past row 0 is
+    # some boundary's right entry.
+    n0 = sizes[0]
+    left = np.arange(n0, x.size)
+    left -= np.repeat(sizes[1:], sizes[1:])
+    left = left.take(np.flatnonzero(x.take(left) < x[n0:]))
+    del x
+    seg = seg.take(left)
+    cw, cwy, cwyy = sums.take(left, axis=1)
+    del sums
+    total_w, total_wy, total_wyy = totals.take(seg, axis=1)
+    right_w = total_w - cw
+    ok = (cw >= level.min_samples_leaf) & (right_w >= level.min_samples_leaf)
+    if not ok.all():
+        ok = np.flatnonzero(ok)
+        left, seg = left.take(ok), seg.take(ok)
+        cw, cwy, cwyy = cw.take(ok), cwy.take(ok), cwyy.take(ok)
+        total_wy, total_wyy, right_w = total_wy.take(ok), total_wyy.take(ok), right_w.take(ok)
+    # The reference's ``sse_left + sse_right``, operand for operand,
+    # evaluated in place: ``sse_right`` lands in ``total_wyy``, ``sse`` in
+    # ``cwy``.
+    total_wy -= cwy
+    total_wy **= 2
+    total_wy /= right_w
+    total_wyy -= cwyy
+    total_wyy -= total_wy
+    sse = cwy
+    sse **= 2
+    sse /= cw
+    np.subtract(cwyy, sse, out=sse)
+    sse += total_wyy
+    del cw, cwyy, right_w, total_w, total_wy, total_wyy
+    best = np.full(length.size, np.inf)
+    np.minimum.at(best, seg, sse)
+    # First minimum: a segment's boundaries are in position order.
+    hits = np.flatnonzero(sse == best.take(seg))
+    pick = np.full(length.size, sse.size)
+    np.minimum.at(pick, seg.take(hits), hits)
+    has = np.flatnonzero(best < np.inf)
+    # The picked boundary's row is its offset in the segment, whose entries
+    # sit back to back in the block.
+    at = first.take(has)
+    at += np.searchsorted(np.cumsum(sizes), left.take(pick.take(has)), side="right")
+    x_off = x_off.take(has)
+    x_lo = level.XT.take(slots.take(at) + x_off)
+    at += 1
+    x_hi = level.XT.take(slots.take(at) + x_off)
+    key = key.take(has)
+    score[key] = best.take(has)
+    threshold[key] = (x_lo + x_hi) / 2.0
 
 
 def _feature_blocks(
@@ -285,20 +273,106 @@ def _feature_blocks(
 
     One stable argsort per non-constant feature serves the whole forest; it
     is tiled per tree (``tree_base``) and filtered to each tree's members
-    (``active``).  Returns ``(features, slots)`` pairs, ``slots``
-    feature-major with at most :data:`BLOCK_ENTRIES` entries per block (but
-    at least one feature).
+    (``active``).  Returns ``(features, slots)`` pairs, ``slots`` one
+    feature row after another, with at most :data:`BLOCK_ENTRIES` entries
+    per block (but at least one feature row).
     """
     live = np.flatnonzero(X.min(axis=0) != X.max(axis=0))
     order = np.argsort(X[:, live], axis=0, kind="mergesort")
     per_block = max(1, BLOCK_ENTRIES // max(int(np.count_nonzero(active)), 1))
     blocks = []
     for lo in range(0, live.size, per_block):
-        block_order = order[:, lo : lo + per_block].T  # (block features, n_rows)
+        # (block features, n_rows); int32 keeps the stored slots lean.
+        block_order = order[:, lo : lo + per_block].T.astype(np.int32)
         tiled = block_order[:, None, :] + tree_base[None, :, :]
         members = active[:, block_order].transpose(1, 0, 2)
         blocks.append((live[lo : lo + per_block], tiled[members]))
     return blocks
+
+
+class _ScanLevel:
+    """What every block's scan shares at one level: the expanding nodes'
+    runs and the per-fit lookup tables."""
+
+    def __init__(self, starts, lengths, tree_off, splittable, fit) -> None:
+        self.starts = starts
+        self.lengths = lengths
+        self.tree_off = tree_off
+        self.splittable = splittable
+        self.n_rows = fit.n_rows
+        self.XT = fit.XT
+        self.stats_of = fit.stats_of
+        self.min_samples_leaf = fit.min_samples_leaf
+
+
+class _Partition:
+    """Where every entry of a feature row goes when the level's nodes split.
+
+    Each expanding node's run splits into a left and a right piece; pieces
+    of children that expand are laid out first, in child order, and the
+    rest after them, to be cut off.  A run's left count is the same in every
+    row, so a row's left prefix counts are one running count over the whole
+    group, shifted per run by the lefts of the runs (and rows) before it.
+    """
+
+    def __init__(self, starts, lengths, n_left, keep) -> None:
+        row = int(lengths.sum())
+        pieces = np.stack([n_left, lengths - n_left], axis=1).ravel()
+        kept = np.where(keep, pieces, 0)
+        self.row = row
+        self.kept = int(kept.sum())
+        dropped = pieces - kept
+        piece_start = np.where(
+            keep, np.cumsum(kept) - kept, self.kept + np.cumsum(dropped) - dropped
+        )
+        lefts_before = np.cumsum(n_left) - n_left
+        run = np.repeat(np.arange(starts.size), lengths)
+        # left entry: left piece start + lefts before it in its run;
+        # right entry: right piece start + rights before it in its run.
+        self.left_base = (piece_start[0::2] - lefts_before).take(run)
+        self.right_base = (piece_start[1::2] + lefts_before - starts).take(run)
+        self.right_base += np.arange(row)
+        self.n_left = int(n_left.sum())
+
+    def apply(self, slots: np.ndarray, go_left: np.ndarray) -> np.ndarray:
+        """Partition feature rows of ``slots`` (any number, one after another)."""
+        row = self.row
+        n_rows = slots.size // row
+        group = max(1, max(SCAN_CELLS, row) // row)
+        out = np.empty((n_rows, row), dtype=slots.dtype)
+        for lo in range(0, n_rows, group):
+            hi = min(n_rows, lo + group)
+            part = slots[lo * row : hi * row]
+            moves = go_left.take(part)
+            before = np.cumsum(moves, dtype=np.intp)
+            before -= moves
+            before = before.reshape(hi - lo, row)
+            offsets = np.arange(hi - lo)[:, None]
+            dest = np.where(
+                moves.reshape(hi - lo, row),
+                before + (self.left_base + offsets * (row - self.n_left)),
+                (self.right_base + offsets * (row + self.n_left)) - before,
+            )
+            del before, moves
+            out[lo:hi].reshape(-1)[dest.reshape(-1)] = part
+        if self.kept == row:
+            return out.reshape(-1)
+        return out[:, : self.kept].reshape(-1)
+
+
+class _Fit:
+    """Per-fit lookup tables shared by every level."""
+
+    def __init__(self, X, y, weights, min_samples_leaf) -> None:
+        n_trees, n_rows = weights.shape
+        self.n_rows = n_rows
+        self.min_samples_leaf = min_samples_leaf
+        # A "slot" is a (tree, row) pair, id = tree * n_rows + row.
+        self.stats_of = np.stack(
+            [weights, weights * y[None, :], weights * y[None, :] * y[None, :]]
+        ).reshape(3, -1)
+        self.y_of = np.ascontiguousarray(np.broadcast_to(y, (n_trees, n_rows))).ravel()
+        self.XT = np.ascontiguousarray(X.T).ravel()  # XT[f * n_rows + row]
 
 
 class _LevelRecords:
@@ -320,6 +394,25 @@ class _LevelRecords:
         return self.tree.shape[0]
 
 
+def _node_payload(fit: _Fit, perm, starts, lengths, tree) -> _LevelRecords:
+    """Stats for the nodes whose members ``perm`` lists (one run per node,
+    ascending rows within a run)."""
+    by_length = np.argsort(lengths, kind="stable")
+    _, source, sizes, last = _position_major(
+        starts.take(by_length), lengths.take(by_length)
+    )
+    sums = fit.stats_of.take(perm.take(source), axis=1)
+    _running_sums(sums, sizes)
+    totals = np.empty((3, lengths.size))
+    totals[:, by_length] = sums.take(last, axis=1)
+    total_w, total_wy, total_wyy = totals
+    mean = total_wy / total_w
+    variance = np.maximum(total_wyy / total_w - mean * mean, 0.0)
+    y_vals = fit.y_of.take(perm)
+    pure = np.minimum.reduceat(y_vals, starts) == np.maximum.reduceat(y_vals, starts)
+    return _LevelRecords(tree, total_w, mean, variance, pure)
+
+
 def build_forest_flat(
     X: np.ndarray,
     y: np.ndarray,
@@ -330,12 +423,14 @@ def build_forest_flat(
     min_samples_split: int,
     min_samples_leaf: int,
     n_split_features: int,
-) -> List[FlatTree]:
-    """Fit ``weights.shape[0]`` trees at once; returns one FlatTree per tree.
+) -> Tuple[FlatTree, np.ndarray]:
+    """Fit ``weights.shape[0]`` trees at once.
 
     ``weights[t]`` is tree ``t``'s non-negative per-row sample weight (the
     bootstrap multiplicity); rows with weight 0 are not members of tree
-    ``t``.  ``rngs[t]`` is tree ``t``'s feature-subsampling stream.
+    ``t``.  ``rngs[t]`` is tree ``t``'s feature-subsampling stream.  Returns
+    the stacked node table of all trees — tree ``t``'s nodes start at
+    ``roots[t]``, preorder-numbered, child indices global — and ``roots``.
     """
     X = np.ascontiguousarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
@@ -347,83 +442,47 @@ def build_forest_flat(
     if len(rngs) != n_trees:
         raise ValueError("need one RNG per tree")
 
-    # ---- shared per-fit precomputation -----------------------------------
-    # A "slot" is a (tree, row) pair, id = tree * n_rows + row.  Per-slot
-    # weighted target products are shared by every scan.
-    stats_of = np.stack(
-        [weights, weights * y[None, :], weights * y[None, :] * y[None, :]]
-    ).reshape(3, -1)
-    y_of = np.ascontiguousarray(np.broadcast_to(y, (n_trees, n_rows))).ravel()
-    row_of = np.ascontiguousarray(
-        np.broadcast_to(np.arange(n_rows, dtype=np.intp), (n_trees, n_rows))
-    ).ravel()
-    tree_base = (np.arange(n_trees, dtype=np.intp) * n_rows)[:, None]
-
+    fit = _Fit(X, y, weights, min_samples_leaf)
+    tree_base = (np.arange(n_trees, dtype=np.int32) * n_rows)[:, None]
     active = weights > 0  # (n_trees, n_rows)
-    perm_idx = (np.arange(n_rows, dtype=np.intp)[None, :] + tree_base)[active]
-
-    blocks = _feature_blocks(X, active, tree_base)
-
-    node_of = np.full(n_trees * n_rows, -1, dtype=np.intp)
-    node_of[perm_idx] = perm_idx // n_rows  # root of tree t has global id t
-
-    def node_payload(perm: np.ndarray) -> _LevelRecords:
-        """Stats for the nodes whose members ``perm`` lists (ascending rows)."""
-        starts = _segment_starts(node_of[perm])
-        lengths = np.diff(np.append(starts, perm.size))
-        n_seg = starts.size
-        max_len = int(lengths.max())
-        cell = _column_cells(lengths)
-        rect = np.zeros((3, max_len, n_seg))
-        for k in range(3):
-            rect[k].reshape(-1)[cell] = stats_of[k].take(perm)
-        np.cumsum(rect, axis=1, out=rect)
-        last = lengths - 1
-        seg_ids = np.arange(n_seg)
-        total_w = rect[0, last, seg_ids]
-        total_wy = rect[1, last, seg_ids]
-        total_wyy = rect[2, last, seg_ids]
-        mean = total_wy / total_w
-        variance = np.maximum(total_wyy / total_w - mean * mean, 0.0)
-        y_vals = y_of[perm]
-        pure = np.minimum.reduceat(y_vals, starts) == np.maximum.reduceat(
-            y_vals, starts
-        )
-        return _LevelRecords(perm[starts] // n_rows, total_w, mean, variance, pure)
-
-    levels: List[_LevelRecords] = [node_payload(perm_idx)]
+    perm = np.flatnonzero(active)
+    lengths = np.count_nonzero(active, axis=1)
+    starts = np.cumsum(lengths) - lengths
+    levels: List[_LevelRecords] = [
+        _node_payload(fit, perm, starts, lengths, np.arange(n_trees, dtype=np.intp))
+    ]
     bases: List[int] = [0]
-    total_nodes = len(levels[0])
+    total_nodes = n_trees
+
+    def expanding(records: _LevelRecords, depth: int) -> np.ndarray:
+        if max_depth is not None and depth >= max_depth:
+            return np.zeros(len(records), dtype=bool)
+        return (records.total_w >= min_samples_split) & ~records.pure
+
+    expand = expanding(levels[0], 0)
+    if expand.any():
+        runs = np.repeat(expand, lengths)
+        perm = perm[runs]
+        lengths = lengths[expand]
+        starts = np.cumsum(lengths) - lengths
+        blocks = _feature_blocks(X, active & expand[:, None], tree_base)
+    go_left_of = np.zeros(n_trees * n_rows, dtype=bool)
 
     # ---- breadth-first frontier ------------------------------------------
+    # ``perm`` and every block row list the members of the expanding nodes
+    # of ``levels[-1]``, one run per node (``starts``/``lengths``).
     level = 0
-    while True:
+    while expand.any():
         records = levels[level]
-        base = bases[level]
-        expand = (records.total_w >= min_samples_split) & ~records.pure
-        if max_depth is not None and level >= max_depth:
-            expand[:] = False
         expand_idx = np.flatnonzero(expand)
-        if expand_idx.size == 0:
-            break
         n_expand = expand_idx.size
-        expand_rank = np.full(len(records), -1, dtype=np.intp)
-        expand_rank[expand_idx] = np.arange(n_expand, dtype=np.intp)
-
-        # Retire slots of nodes that just became leaves.
-        retire = expand_idx.size < expand.size
-        if retire:
-            perm_idx = perm_idx[expand[node_of[perm_idx] - base]]
-        ranks_idx = expand_rank[node_of[perm_idx] - base]
-        starts_idx = _segment_starts(ranks_idx)
-        lengths_idx = np.diff(np.append(starts_idx, perm_idx.size))
+        expand_trees = records.tree.take(expand_idx)
 
         # Feature-subsampling draws: per tree, one block covering its
         # expanding nodes in creation order (nodes are stored tree-major);
         # the k-th smallest key of every node is then found in one call.
         # The mask is stored feature-major, like ``score``.
         keys = np.empty((n_expand, n_features))
-        expand_trees = records.tree[expand_idx]
         bounds = np.searchsorted(expand_trees, np.arange(n_trees + 1)).tolist()
         for t, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
             if hi > lo:
@@ -432,29 +491,18 @@ def build_forest_flat(
         feature_mask = (keys <= kth[:, n_split_features - 1 : n_split_features]).T.copy()
         del keys, kth
 
-        # One retire filter and one segmented scan per feature block.
-        rank_of = np.full(n_trees * n_rows, -1, dtype=np.intp)
-        rank_of[perm_idx] = ranks_idx
+        tree_off = expand_trees * n_rows
+        scan = _ScanLevel(
+            starts,
+            lengths,
+            tree_off,
+            records.total_w.take(expand_idx) >= 2 * min_samples_leaf,
+            fit,
+        )
         score = np.full(n_features * n_expand, np.inf)
         threshold = np.zeros(n_features * n_expand)
-        budget = max(SCAN_CELLS, n_expand * int(lengths_idx.max()))
-        for b, (features, slots) in enumerate(blocks):
-            if retire:
-                slots = slots[rank_of.take(slots) >= 0]
-                blocks[b] = (features, slots)
-            _scan_block(
-                features,
-                slots,
-                rank_of,
-                feature_mask,
-                budget,
-                X,
-                row_of,
-                stats_of,
-                min_samples_leaf,
-                score,
-                threshold,
-            )
+        for features, slots in blocks:
+            _scan_block(features, slots, scan, feature_mask, score, threshold)
 
         # Lowest feature index wins ties, matching the reference's strict <.
         score = score.reshape(n_features, n_expand)
@@ -465,112 +513,97 @@ def build_forest_flat(
 
         # Route members; a midpoint that rounds onto the right value could
         # empty one child, in which case the node degenerates to a leaf.
-        go_left = np.zeros(perm_idx.size, dtype=bool)
-        routed = can_split[ranks_idx]
-        routed_rows = row_of[perm_idx[routed]]
-        go_left[routed] = (
-            X[routed_rows, win_feature[ranks_idx[routed]]]
-            <= win_threshold[ranks_idx[routed]]
-        )
-        n_left = np.add.reduceat(go_left.astype(np.intp), starts_idx)
-        seg_rank = ranks_idx[starts_idx]
-        degenerate = can_split[seg_rank] & ((n_left == 0) | (n_left == lengths_idx))
-        if degenerate.any():
-            can_split[seg_rank[degenerate]] = False
-
+        member_x = fit.XT.take(perm + np.repeat(win_feature * n_rows - tree_off, lengths))
+        go_left = member_x <= np.repeat(win_threshold, lengths)
+        go_left &= np.repeat(can_split, lengths)
+        n_left = np.add.reduceat(go_left, starts, dtype=np.intp)
+        can_split &= (n_left > 0) & (n_left < lengths)
         split_ranks = np.flatnonzero(can_split)
         if split_ranks.size == 0:
             break
+        n_left *= can_split
+        go_left &= np.repeat(can_split, lengths)
+        go_left_of[perm] = go_left
+
         n_split = split_ranks.size
         child_base = total_nodes
         left_ids = child_base + 2 * np.arange(n_split, dtype=np.intp)
-        right_ids = left_ids + 1
-        split_no = np.full(n_expand, -1, dtype=np.intp)
-        split_no[split_ranks] = np.arange(n_split, dtype=np.intp)
-
         global_idx = expand_idx[split_ranks]
         records.feature[global_idx] = win_feature[split_ranks]
         records.threshold[global_idx] = win_threshold[split_ranks]
         records.left[global_idx] = left_ids
-        records.right[global_idx] = right_ids
+        records.right[global_idx] = left_ids + 1
 
-        # Stable-partition every block by (feature, node), then the node
-        # membership list, then relabel slots.
-        go_left_flat = np.zeros(n_trees * n_rows, dtype=bool)
-        go_left_flat[perm_idx] = go_left
-        for b, (features, slots) in enumerate(blocks):
-            key = rank_of.take(slots)
-            keep = can_split.take(key)
-            key += np.repeat(features * n_expand, slots.size // features.size)
-            moved = _stable_partition(key, go_left_flat.take(slots), keep)
-            blocks[b] = (features, slots.take(moved))
-        del key, keep
-        moved = _stable_partition(ranks_idx, go_left, can_split[ranks_idx])
-        perm_idx = perm_idx[moved]
-        child_no = split_no[ranks_idx[moved]]
-        node_of[perm_idx] = np.where(
-            go_left[moved], left_ids[child_no], right_ids[child_no]
+        # Children, in creation order: the two pieces of every split node.
+        split_piece = np.repeat(can_split, 2)
+        perm = _Partition(starts, lengths, n_left, split_piece).apply(perm, go_left_of)
+        child_lengths = np.stack([n_left, lengths - n_left], axis=1).ravel()[split_piece]
+        child_starts = np.cumsum(child_lengths) - child_lengths
+        children = _node_payload(
+            fit, perm, child_starts, child_lengths, np.repeat(records.tree[global_idx], 2)
         )
-
-        levels.append(node_payload(perm_idx))
+        levels.append(children)
         bases.append(child_base)
         total_nodes += 2 * n_split
         level += 1
 
-    # ---- preorder renumbering and per-tree emission ----------------------
-    tree_g = np.concatenate([rec.tree for rec in levels])
-    value_g = np.concatenate([rec.value for rec in levels])
-    variance_g = np.concatenate([rec.variance for rec in levels])
-    total_w_g = np.concatenate([rec.total_w for rec in levels])
-    feature_g = np.concatenate([rec.feature for rec in levels])
-    threshold_g = np.concatenate([rec.threshold for rec in levels])
+        # Members of children that will not expand leave every block in
+        # the same partition pass.
+        child_expand = expanding(children, level)
+        if not child_expand.any():
+            break
+        keep = np.zeros(2 * n_expand, dtype=bool)
+        keep[split_piece] = child_expand
+        partition = _Partition(starts, lengths, n_left, keep)
+        for b, (features, slots) in enumerate(blocks):
+            blocks[b] = (features, partition.apply(slots, go_left_of))
+        del slots
+        perm = perm[np.repeat(child_expand, child_lengths)]
+        lengths = child_lengths[child_expand]
+        starts = np.cumsum(lengths) - lengths
+        expand = child_expand
+
+    return _emit(levels, bases, total_nodes, n_trees)
+
+
+def _emit(levels, bases, total_nodes, n_trees) -> Tuple[FlatTree, np.ndarray]:
+    """Preorder-renumber every tree and stack their node tables."""
     left_g = np.concatenate([rec.left for rec in levels])
     right_g = np.concatenate([rec.right for rec in levels])
-
     sizes = np.ones(total_nodes, dtype=np.intp)
-    internal_per_level = []
-    for rec, base in zip(levels, bases):
-        internal_per_level.append(np.flatnonzero(rec.left >= 0) + base)
+    internal_per_level = [
+        np.flatnonzero(rec.left >= 0) + base for rec, base in zip(levels, bases)
+    ]
     for ids in reversed(internal_per_level):
         if ids.size:
             sizes[ids] = 1 + sizes[left_g[ids]] + sizes[right_g[ids]]
+    # Roots are global ids 0..n_trees-1; tree t starts after trees < t.
     preorder = np.zeros(total_nodes, dtype=np.intp)
+    preorder[1:n_trees] = np.cumsum(sizes[: n_trees - 1])
     for ids in internal_per_level:
         if ids.size:
             preorder[left_g[ids]] = preorder[ids] + 1
             preorder[right_g[ids]] = preorder[ids] + 1 + sizes[left_g[ids]]
 
-    flats: List[FlatTree] = []
-    for t in range(n_trees):
-        members = np.flatnonzero(tree_g == t)
-        positions = preorder[members]
-        count = members.size
-        feature = np.zeros(count, dtype=np.intp)
-        threshold = np.full(count, np.nan)
-        left = np.full(count, -1, dtype=np.intp)
-        right = np.full(count, -1, dtype=np.intp)
-        value = np.empty(count)
-        variance = np.empty(count)
-        n_samples = np.empty(count, dtype=np.intp)
-        value[positions] = value_g[members]
-        variance[positions] = variance_g[members]
-        n_samples[positions] = total_w_g[members].astype(np.intp)
-        internal = feature_g[members] >= 0
-        src = members[internal]
-        dst = positions[internal]
-        feature[dst] = feature_g[src]
-        threshold[dst] = threshold_g[src]
-        left[dst] = preorder[left_g[src]]
-        right[dst] = preorder[right_g[src]]
-        flats.append(
-            FlatTree(
-                feature=feature,
-                threshold=threshold,
-                left=left,
-                right=right,
-                value=value,
-                variance=variance,
-                n_samples=n_samples,
-            )
-        )
-    return flats
+    def placed(field, dtype=float):
+        out = np.empty(total_nodes, dtype=dtype)
+        out[preorder] = np.concatenate([getattr(rec, field) for rec in levels])
+        return out
+
+    internal = left_g >= 0
+    left = np.full(total_nodes, -1, dtype=np.intp)
+    right = np.full(total_nodes, -1, dtype=np.intp)
+    left[preorder[internal]] = preorder[left_g[internal]]
+    right[preorder[internal]] = preorder[right_g[internal]]
+    feature = placed("feature", np.intp)
+    feature[feature < 0] = 0
+    table = FlatTree(
+        feature=feature,
+        threshold=placed("threshold"),
+        left=left,
+        right=right,
+        value=placed("value"),
+        variance=placed("variance"),
+        n_samples=placed("total_w").astype(np.intp),
+    )
+    return table, preorder[:n_trees].copy()

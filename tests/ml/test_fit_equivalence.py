@@ -8,8 +8,10 @@ cumulative sums, the same tie-breaking.  These tests pin that contract at
 full strength — *exact* equality of the emitted flat node tables and of
 every prediction, across seeds, ``max_features`` settings, duplicate rows,
 constant targets and columns, bootstrap sample weights, noise-adjuster-shaped
-wide one-hot matrices, and the builder's feature-block and scan-chunk
-splits at their smallest sizes.
+wide one-hot matrices, the fit shapes of a paper-scale study, and the
+builder's feature-block, scan-chunk and partition-group splits at their
+smallest sizes.  The position-major running sums the builder scans with
+are pinned against per-segment ``np.cumsum`` on their own.
 """
 
 import numpy as np
@@ -20,6 +22,7 @@ import repro.ml.treebuilder as treebuilder
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.preprocessing import OneHotEncoder, StandardScaler
 from repro.ml.tree import DecisionTreeRegressor
+from repro.systems.postgres.knobs import build_postgres_knob_space
 
 FLAT_FIELDS = ("feature", "threshold", "left", "right", "value", "variance", "n_samples")
 
@@ -316,10 +319,108 @@ class TestTinyScratchBudgets:
             assert max(chunks) == 1
 
     def test_chunk_bounds_respect_budget(self):
+        """Chunks cover the segments in order; each holds at most ``budget``
+        real entries unless it is a single (longer) segment."""
         lengths = np.array([2, 2, 3, 5, 5, 9, 40])
         bounds = treebuilder._chunk_bounds(lengths, 12)
         assert bounds[0][0] == 0 and bounds[-1][1] == lengths.size
         for (lo, hi), (next_lo, _) in zip(bounds, bounds[1:]):
             assert hi == next_lo
         for lo, hi in bounds:
-            assert hi - lo == 1 or (hi - lo) * lengths[hi - 1] <= 12
+            assert hi - lo == 1 or lengths[lo:hi].sum() <= 12
+        # Greedy: a chunk stops only where the next segment would overflow.
+        for (lo, hi), _ in zip(bounds, bounds[1:]):
+            assert lengths[lo : hi + 1].sum() > 12
+        assert bounds == [(0, 4), (4, 5), (5, 6), (6, 7)]
+
+
+def _postgres_problem(seed, n, duplicates=False):
+    """Encoded PostgreSQL knob configurations, as the SMAC surrogate fits
+    them: continuous, integer-grid and two-valued boolean columns."""
+    space = build_postgres_knob_space(seed=0)
+    rng = np.random.default_rng(seed)
+    X = space.encode_batch(space.sample_batch(n, rng=rng))
+    if duplicates:
+        X[n // 2 :] = X[: n - n // 2]  # re-evaluated configurations
+    y = X[:, 0] - 0.5 * X[:, 3] ** 2 + 0.1 * rng.normal(size=n)
+    return X, y
+
+
+#: The fits of a paper-scale study: (shape, rows, duplicates) with the
+#: forest settings of ``repro.core.noise_adjuster`` and ``repro.optimizers.smac``.
+STUDY_CASES = [
+    ("noise", 30, False),
+    ("noise", 90, False),
+    ("noise", 90, True),
+    ("smac", 40, False),
+    ("smac", 40, True),
+]
+
+
+def _study_fit(shape, n, duplicates, seed):
+    if shape == "noise":
+        X, y = _noise_adjuster_problem(seed, n, 10)
+        if duplicates:
+            X[n // 2 :] = X[: n - n // 2]
+        kwargs = dict(n_estimators=24, min_samples_leaf=2, seed=seed)
+    else:
+        X, y = _postgres_problem(seed, n, duplicates)
+        kwargs = dict(
+            n_estimators=24, min_samples_split=3, max_features=5.0 / 6.0, seed=seed
+        )
+    return X, y, kwargs
+
+
+class TestStudyShapeEquivalence:
+    """The noise adjuster's 30x35 and 90x35 fits (25 telemetry columns plus
+    a 10-worker one-hot of two-valued columns) and SMAC's 40x21 refits,
+    at the default scratch budgets and at the smallest ones."""
+
+    @pytest.mark.parametrize("shape,n,duplicates", STUDY_CASES)
+    @pytest.mark.parametrize("budgets", ["default", "tiny"])
+    def test_study_fit_bit_for_bit(self, monkeypatch, shape, n, duplicates, budgets):
+        if budgets == "tiny":
+            monkeypatch.setattr(treebuilder, "BLOCK_ENTRIES", 1)
+            monkeypatch.setattr(treebuilder, "SCAN_CELLS", 1)
+        X, y, kwargs = _study_fit(shape, n, duplicates, seed=n + 3)
+        fast = RandomForestRegressor(**kwargs).fit(X, y)
+        ref = RandomForestRegressor(**kwargs).fit_pointer(X, y)
+        assert_forests_equal(fast, ref, X)
+        Xq = np.random.default_rng(n).permutation(X, axis=0)[: n // 2] + 0.01
+        for a, b in zip(fast.predict_mean_std(Xq), ref.predict_mean_std(Xq)):
+            assert np.array_equal(a, b)
+
+
+def _ragged(draw_lengths):
+    lengths = np.sort(np.asarray(draw_lengths, dtype=np.intp), kind="stable")
+    starts = np.cumsum(lengths) - lengths
+    return starts, lengths
+
+
+class TestPositionMajorSums:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.integers(1, 30), min_size=1, max_size=25),
+        st.integers(0, 2**16),
+        st.sampled_from([1.0, 1e-3, 1e6]),
+    )
+    def test_running_sums_equal_per_segment_cumsum(self, lengths, seed, scale):
+        """Position-major running sums are ``np.cumsum`` per segment, bit
+        for bit, on random ragged lengths (shuffled segment order too)."""
+        rng = np.random.default_rng(seed)
+        starts, lengths = _ragged(lengths)
+        # Segments may sit anywhere in the source array, in any order.
+        order = rng.permutation(lengths.size)
+        placed = np.cumsum(lengths[order]) - lengths[order]
+        starts = np.empty_like(starts)
+        starts[order] = placed
+        values = rng.normal(size=(3, int(lengths.sum()))) * scale
+        seg, source, sizes, last = treebuilder._position_major(starts, lengths)
+        sums = values[:, source]
+        treebuilder._running_sums(sums, sizes)
+        for j, (start, length) in enumerate(zip(starts, lengths)):
+            want = np.cumsum(values[:, start : start + length], axis=1)
+            got = sums[:, seg == j]
+            assert np.array_equal(got, want)
+            assert np.array_equal(sums[:, last[j]], want[:, -1])
+        assert sizes[0] == lengths.size and sum(sizes) == lengths.sum()
