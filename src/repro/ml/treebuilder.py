@@ -88,31 +88,34 @@ def _position_major(starts: np.ndarray, lengths: np.ndarray) -> tuple:
     holds entry ``p`` of every segment longer than ``p`` — with lengths
     ascending, the last ``sizes[p]`` segments, so row ``p``'s segments are
     the aligned suffix of row ``p - 1``'s.  Returns ``(seg, source, sizes,
-    last)``: layout entry ``q`` is entry ``source[q]`` of the source array
-    and belongs to segment ``seg[q]``; ``sizes`` lists the row sizes and
-    ``last[j]`` is the layout position of segment ``j``'s last entry.
+    last, ends)``: layout entry ``q`` is entry ``source[q]`` of the source
+    array and belongs to segment ``seg[q]``; ``sizes`` lists the row sizes,
+    ``ends`` the row ends, and ``last[j]`` is the layout position of segment
+    ``j``'s last entry.
     """
     n_seg = lengths.size
     sizes = n_seg - np.searchsorted(lengths, np.arange(lengths[-1]), side="right")
     # Row p ends at ends[p] and lists segments n_seg - sizes[p] .. n_seg - 1.
-    row_base = np.cumsum(sizes) - n_seg
-    seg = np.arange(row_base[-1] + n_seg) - np.repeat(row_base, sizes)
+    ends = np.cumsum(sizes)
+    row_base = ends - n_seg
+    seg = np.arange(ends[-1]) - np.repeat(row_base, sizes)
     source = starts.take(seg)
     source += np.repeat(np.arange(sizes.size), sizes)
     last = row_base.take(lengths - 1) + np.arange(n_seg)
-    return seg, source, sizes.tolist(), last
+    return seg, source, sizes.tolist(), last, ends
 
 
 def _running_sums(values: np.ndarray, sizes: List[int]) -> None:
     """Per-segment running sums, in place, over a position-major layout.
 
-    ``values`` is ``(k, n_entries)``.  Each row adds the running sums of the
-    previous row's aligned suffix: the same additions, in the same order,
-    as one ``np.cumsum`` per segment.
+    ``values`` is ``(n_entries, k)``, so each layout row is one contiguous
+    block.  Each row adds the running sums of the previous row's aligned
+    suffix: the same additions, in the same order, as one ``np.cumsum`` per
+    segment.
     """
     end = sizes[0]
     for size in sizes[1:]:
-        values[:, end : end + size] += values[:, end - size : end]
+        values[end : end + size] += values[end - size : end]
         end += size
 
 
@@ -205,14 +208,14 @@ def _score_chunk(
     are scored, with the reference's operands and operation order; each
     segment keeps its first minimum along its sorted positions.
     """
-    seg, source, sizes, last = _position_major(first, length)
+    seg, source, sizes, last, ends = _position_major(first, length)
     member = slots.take(source)
     del source
     x = level.XT.take(member + x_off.take(seg))
-    sums = level.stats_of.take(member, axis=1)
+    sums = level.stats_of.take(member, axis=0)
     del member
     _running_sums(sums, sizes)
-    totals = sums.take(last, axis=1)
+    totals = sums.take(last, axis=0)
     # Boundary after entry p of a segment: left entry ``a`` in row p, right
     # entry ``a + sizes[p + 1]`` in row p + 1.  Every entry past row 0 is
     # some boundary's right entry.
@@ -222,16 +225,17 @@ def _score_chunk(
     left = left.take(np.flatnonzero(x.take(left) < x[n0:]))
     del x
     seg = seg.take(left)
-    cw, cwy, cwyy = sums.take(left, axis=1)
-    del sums
-    total_w, total_wy, total_wyy = totals.take(seg, axis=1)
-    right_w = total_w - cw
-    ok = (cw >= level.min_samples_leaf) & (right_w >= level.min_samples_leaf)
+    sums = sums.take(left, axis=0)
+    totals = totals.take(seg, axis=0)
+    left_w = sums[:, 0]
+    right_w = totals[:, 0] - left_w
+    ok = (left_w >= level.min_samples_leaf) & (right_w >= level.min_samples_leaf)
     if not ok.all():
         ok = np.flatnonzero(ok)
         left, seg = left.take(ok), seg.take(ok)
-        cw, cwy, cwyy = cw.take(ok), cwy.take(ok), cwyy.take(ok)
-        total_wy, total_wyy, right_w = total_wy.take(ok), total_wyy.take(ok), right_w.take(ok)
+        sums, totals, right_w = sums.take(ok, axis=0), totals.take(ok, axis=0), right_w.take(ok)
+    cw, cwy, cwyy = sums.T
+    total_w, total_wy, total_wyy = totals.T
     # The reference's ``sse_left + sse_right``, operand for operand,
     # evaluated in place: ``sse_right`` lands in ``total_wyy``, ``sse`` in
     # ``cwy``.
@@ -245,7 +249,7 @@ def _score_chunk(
     sse /= cw
     np.subtract(cwyy, sse, out=sse)
     sse += total_wyy
-    del cw, cwyy, right_w, total_w, total_wy, total_wyy
+    del sums, totals, right_w
     best = np.full(length.size, np.inf)
     np.minimum.at(best, seg, sse)
     # First minimum: a segment's boundaries are in position order.
@@ -256,7 +260,7 @@ def _score_chunk(
     # The picked boundary's row is its offset in the segment, whose entries
     # sit back to back in the block.
     at = first.take(has)
-    at += np.searchsorted(np.cumsum(sizes), left.take(pick.take(has)), side="right")
+    at += np.searchsorted(ends, left.take(pick.take(has)), side="right")
     x_off = x_off.take(has)
     x_lo = level.XT.take(slots.take(at) + x_off)
     at += 1
@@ -367,10 +371,13 @@ class _Fit:
         n_trees, n_rows = weights.shape
         self.n_rows = n_rows
         self.min_samples_leaf = min_samples_leaf
-        # A "slot" is a (tree, row) pair, id = tree * n_rows + row.
+        # A "slot" is a (tree, row) pair, id = tree * n_rows + row.  Its
+        # (w, wy, wyy) row is padded to four doubles: numpy's take copies
+        # 32-byte rows several times faster than 24-byte ones.
+        wy = weights * y[None, :]
         self.stats_of = np.stack(
-            [weights, weights * y[None, :], weights * y[None, :] * y[None, :]]
-        ).reshape(3, -1)
+            [weights, wy, wy * y[None, :]], axis=-1
+        ).reshape(-1, 3)
         self.y_of = np.ascontiguousarray(np.broadcast_to(y, (n_trees, n_rows))).ravel()
         self.XT = np.ascontiguousarray(X.T).ravel()  # XT[f * n_rows + row]
 
@@ -398,14 +405,14 @@ def _node_payload(fit: _Fit, perm, starts, lengths, tree) -> _LevelRecords:
     """Stats for the nodes whose members ``perm`` lists (one run per node,
     ascending rows within a run)."""
     by_length = np.argsort(lengths, kind="stable")
-    _, source, sizes, last = _position_major(
+    _, source, sizes, last, _ = _position_major(
         starts.take(by_length), lengths.take(by_length)
     )
-    sums = fit.stats_of.take(perm.take(source), axis=1)
+    sums = fit.stats_of.take(perm.take(source), axis=0)
     _running_sums(sums, sizes)
-    totals = np.empty((3, lengths.size))
-    totals[:, by_length] = sums.take(last, axis=1)
-    total_w, total_wy, total_wyy = totals
+    totals = np.empty((lengths.size, 3))
+    totals[by_length] = sums.take(last, axis=0)
+    total_w, total_wy, total_wyy = totals.T
     mean = total_wy / total_w
     variance = np.maximum(total_wyy / total_w - mean * mean, 0.0)
     y_vals = fit.y_of.take(perm)

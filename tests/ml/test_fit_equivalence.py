@@ -414,13 +414,13 @@ class TestPositionMajorSums:
         placed = np.cumsum(lengths[order]) - lengths[order]
         starts = np.empty_like(starts)
         starts[order] = placed
-        values = rng.normal(size=(3, int(lengths.sum()))) * scale
-        seg, source, sizes, last = treebuilder._position_major(starts, lengths)
-        sums = values[:, source]
+        values = rng.normal(size=(int(lengths.sum()), 3)) * scale
+        seg, source, sizes, last, ends = treebuilder._position_major(starts, lengths)
+        sums = values[source]
         treebuilder._running_sums(sums, sizes)
         for j, (start, length) in enumerate(zip(starts, lengths)):
-            want = np.cumsum(values[:, start : start + length], axis=1)
-            got = sums[:, seg == j]
+            want = np.cumsum(values[start : start + length], axis=0)
+            got = sums[seg == j]
             assert np.array_equal(got, want)
-            assert np.array_equal(sums[:, last[j]], want[:, -1])
-        assert sizes[0] == lengths.size and sum(sizes) == lengths.sum()
+            assert np.array_equal(sums[last[j]], want[-1])
+        assert sizes[0] == lengths.size and list(ends) == list(np.cumsum(sizes))
