@@ -27,7 +27,7 @@ import os
 import subprocess
 from datetime import datetime, timezone
 from functools import lru_cache
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 if TYPE_CHECKING:  # annotation only; configspace never imports core
     from repro.configspace import Configuration
@@ -35,6 +35,29 @@ if TYPE_CHECKING:  # annotation only; configspace never imports core
 _REPO_ROOT = os.path.abspath(
     os.path.join(os.path.dirname(__file__), "..", "..", "..")
 )
+
+
+def _record_encoder() -> Callable[[Dict[str, Any]], str]:
+    """``json.dumps(record, sort_keys=True, default=str)`` as one reusable
+    callable.
+
+    ``json.dumps`` builds a new encoder, and the C encoder behind it, for
+    every record; an append is cheap enough that this setup was a large
+    share of its cost.  The C encoder is built once here, with the
+    arguments ``JSONEncoder.iterencode`` passes it; records are flat, so
+    the circular-reference markers are left out.  Without the C module
+    the pure-Python encoder is reused instead.
+    """
+    make = json.encoder.c_make_encoder
+    if make is None:
+        return json.JSONEncoder(sort_keys=True, default=str, check_circular=False).encode
+    encode = make(
+        None, str, json.encoder.encode_basestring_ascii, None, ": ", ", ", True, False, True
+    )
+    return lambda record: "".join(encode(record, 0))
+
+
+_ENCODE = _record_encoder()
 
 
 class EventLogError(RuntimeError):
@@ -130,7 +153,9 @@ class EventLog:
             # between checkpoint time and the kill — e.g. the "checkpoint"
             # record itself, which is written *after* the state is pickled.
             self._seq = self._recover_next_seq()
-        self._fh = open(self.path, "a", encoding="utf-8")
+        # Unbuffered: each record reaches the file in one write(2), with no
+        # text or buffer layer in between.
+        self._fh = open(self.path, "ab", buffering=0)
         if fresh and self._seq == 0:
             self.append(
                 "open",
@@ -173,15 +198,15 @@ class EventLog:
         event being written (which replay then reports as a truncated tail).
         """
         self._ensure_open()
-        clash = {"seq", "kind"} & fields.keys()
-        if clash:
-            raise ValueError(
-                f"event fields {sorted(clash)} would clobber the log envelope"
-            )
+        if "seq" in fields or "kind" in fields:
+            clash = sorted({"seq", "kind"} & fields.keys())
+            raise ValueError(f"event fields {clash} would clobber the log envelope")
         record = {"seq": self._seq, "kind": str(kind)}
         record.update(fields)
-        self._fh.write(json.dumps(record, sort_keys=True, default=str) + "\n")
-        self._fh.flush()
+        line = (_ENCODE(record) + "\n").encode("utf-8")
+        # A raw write may be partial; finish the record before returning.
+        while line:
+            line = line[self._fh.write(line) :]
         self._seq += 1
         return record
 

@@ -12,6 +12,7 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cloud import Cluster
 from repro.core import (
@@ -446,3 +447,47 @@ class TestDatastoreWriteAhead:
             assert event["worker"] == sample.worker_id
             assert event["value"] == sample.value
             assert event["crashed"] == sample.crashed
+
+
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=12)
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+class TestRecordEncoding:
+    """Appends write exactly what ``json.dumps(sort_keys=True, default=str)``
+    wrote, and every record is in the file when ``append`` returns."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.dictionaries(st.text(max_size=8), _JSON_VALUES, max_size=8))
+    def test_encoder_matches_json_dumps(self, record):
+        from repro.core import eventlog as eventlog_mod
+
+        want = json.dumps(record, sort_keys=True, default=str)
+        assert eventlog_mod._ENCODE(record) == want
+
+    def test_fallback_encoder_matches_json_dumps(self, monkeypatch):
+        from repro.core import eventlog as eventlog_mod
+
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        encode = eventlog_mod._record_encoder()
+        record = {"t": 0.1, "nan": float("nan"), "w": "wörker", "ok": True, "x": object()}
+        assert encode(record) == json.dumps(record, sort_keys=True, default=str)
+
+    def test_each_record_is_written_before_append_returns(self, tmp_path):
+        log = EventLog(str(tmp_path / "events.jsonl"))
+        for i in range(3):
+            record = log.append("submit", worker=f"w-{i}", t=i / 3)
+            lines = open(log.path, encoding="utf-8").read().splitlines()
+            assert len(lines) == i + 2  # the header, then one line per append
+            assert json.loads(lines[-1]) == record
+        log.close()
