@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import json.encoder
 import os
 import subprocess
 from datetime import datetime, timezone
@@ -48,7 +49,7 @@ def _record_encoder() -> Callable[[Dict[str, Any]], str]:
     the circular-reference markers are left out.  Without the C module
     the pure-Python encoder is reused instead.
     """
-    make = json.encoder.c_make_encoder
+    make = getattr(json.encoder, "c_make_encoder", None)
     if make is None:
         return json.JSONEncoder(sort_keys=True, default=str, check_circular=False).encode
     encode = make(

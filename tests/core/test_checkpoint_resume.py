@@ -458,7 +458,9 @@ _JSON_SCALARS = (
 )
 _JSON_VALUES = st.recursive(
     _JSON_SCALARS,
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    lambda inner: (
+        st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4)
+    ),
     max_leaves=12,
 )
 
