@@ -15,25 +15,29 @@ Training layout
 per-tree integer sample-weight vectors over the shared training matrix, and
 the level-synchronous builder in :mod:`repro.ml.treebuilder` grows every
 tree's frontier together — one stable argsort per non-constant feature for
-the whole forest, features packed into size-bounded blocks, and one
-segmented weighted cumulative-sum scan plus one stable partition per
-(level, feature block) to score and split every (tree, node, feature)
-candidate, flat node tables emitted directly.  Columns constant over the
-training matrix (e.g. the noise adjuster's one-hot columns of workers absent
-from the data) are never scanned.  The per-tree, per-node reference build
-survives as ``fit_pointer`` and is bit-for-bit equivalent for the same seed
-(same forest-RNG draw order for tree seeds and bootstrap counts, same
-per-tree feature-subsampling streams).
+the whole forest, features packed into size-bounded blocks whose rows hold
+every expanding node's members as one run per node, and per (level, feature
+block) one split scan that scores only boundaries between distinct values
+(running sums laid out position-major, without padding) plus one partition
+that splits every run and drops the members of children that will not
+expand.  The builder emits one stacked node table, which becomes the
+inference table below directly; ``trees_`` are per-tree views of it.
+Columns constant over the training matrix (e.g. the noise adjuster's
+one-hot columns of workers absent from the data) are never scanned.  The
+per-tree, per-node reference build survives as ``fit_pointer`` and is
+bit-for-bit equivalent for the same seed (same forest-RNG draw order for
+tree seeds and bootstrap counts, same per-tree feature-subsampling streams).
 
 Inference layout
 ----------------
-After fitting, the per-tree flat arrays (see :mod:`repro.ml.tree`) are stacked
-into one forest-level structure of arrays: every tree's nodes are concatenated
-with its child indices shifted by the tree's node offset, and ``roots[t]``
-records where tree ``t`` starts.  ``predict`` / ``predict_mean_std`` then
-descend *all (row, tree) pairs* simultaneously with NumPy fancy indexing — the
-Python-level loop runs at most ``max tree depth`` times, independent of both
-the number of rows and the number of trees.  The law-of-total-variance
+A fitted forest keeps every tree's flat arrays (see :mod:`repro.ml.tree`) in
+one forest-level structure of arrays: the trees' nodes back to back, child
+indices global, and ``roots[t]`` recording where tree ``t`` starts (``fit``
+gets it from the builder, ``fit_pointer`` stacks its per-tree tables).
+``predict`` / ``predict_mean_std`` then descend *all (row, tree) pairs*
+simultaneously with NumPy fancy indexing — the Python-level loop runs at
+most ``max tree depth`` times, independent of both the number of rows and
+the number of trees.  The law-of-total-variance
 decomposition (variance of tree means + mean of within-leaf variances) is
 unchanged from the per-tree implementation, which survives as
 ``predict_mean_std_pointer`` for equivalence testing and benchmarking.
