@@ -200,7 +200,7 @@ def weighted_node_stats(w: np.ndarray, wy: np.ndarray, wyy: np.ndarray) -> tuple
     """Weighted count, mean and variance of a node's members.
 
     Members must be in ascending row order; the sums are sequential cumsums
-    so the builder's padded-rectangle cumsums reproduce them exactly.
+    so the builder's position-major running sums reproduce them exactly.
     """
     total_w = np.cumsum(w)[-1]
     total_wy = np.cumsum(wy)[-1]

@@ -372,12 +372,10 @@ class _Fit:
         self.n_rows = n_rows
         self.min_samples_leaf = min_samples_leaf
         # A "slot" is a (tree, row) pair, id = tree * n_rows + row.  Its
-        # (w, wy, wyy) row is padded to four doubles: numpy's take copies
-        # 32-byte rows several times faster than 24-byte ones.
+        # (w, wy, wyy) are one row, so a layout row of running sums is one
+        # contiguous block.
         wy = weights * y[None, :]
-        self.stats_of = np.stack(
-            [weights, wy, wy * y[None, :]], axis=-1
-        ).reshape(-1, 3)
+        self.stats_of = np.stack([weights, wy, wy * y[None, :]], axis=-1).reshape(-1, 3)
         self.y_of = np.ascontiguousarray(np.broadcast_to(y, (n_trees, n_rows))).ravel()
         self.XT = np.ascontiguousarray(X.T).ravel()  # XT[f * n_rows + row]
 
