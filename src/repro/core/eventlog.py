@@ -45,8 +45,8 @@ def _record_encoder() -> Callable[[Dict[str, Any]], str]:
     ``json.dumps`` builds a new encoder, and the C encoder behind it, for
     every record; an append is cheap enough that this setup was a large
     share of its cost.  The C encoder is built once here, with the
-    arguments ``JSONEncoder.iterencode`` passes it; records are flat, so
-    the circular-reference markers are left out.  Without the C module
+    arguments ``JSONEncoder.iterencode`` passes it; records are plain data
+    without cycles, so the circular-reference markers are left out.  Without the C module
     the pure-Python encoder is reused instead.
     """
     make = getattr(json.encoder, "c_make_encoder", None)

@@ -150,6 +150,7 @@ def _scan_block(
     ``score`` and ``threshold`` are feature-major ``(n_features, n_expand)``
     tables, indexed flat by the segment key ``feature * n_expand + rank``.
     """
+    fit = level.fit
     n_expand = level.starts.size
     row = slots.size // features.size
     local = np.flatnonzero(mask.take(features, axis=0) & level.splittable)
@@ -162,7 +163,7 @@ def _scan_block(
     del local
     # x of entry e in feature f is X.T[f, row(slot)], and row(slot) is the
     # slot minus its tree's offset, which is fixed per segment.
-    x_off = key * level.n_rows
+    x_off = key * fit.n_rows
     x_off -= level.tree_off.take(rank)
     key *= n_expand
     key += rank
@@ -170,10 +171,10 @@ def _scan_block(
     del rank
     # A sorted segment whose first and last values are equal is constant
     # in its node and has no valid boundary.
-    x_first = level.XT.take(slots.take(first) + x_off)
+    x_first = fit.XT.take(slots.take(first) + x_off)
     last = first + length
     last -= 1
-    scan = np.flatnonzero(level.XT.take(slots.take(last) + x_off) != x_first)
+    scan = np.flatnonzero(fit.XT.take(slots.take(last) + x_off) != x_first)
     del x_first, last
     if scan.size == 0:
         return
@@ -187,7 +188,7 @@ def _scan_block(
     for lo, hi in _chunk_bounds(length, budget):
         _score_chunk(
             slots, first[lo:hi], length[lo:hi], x_off[lo:hi], key[lo:hi],
-            level, score, threshold,
+            fit, score, threshold,
         )
 
 
@@ -197,7 +198,7 @@ def _score_chunk(
     length: np.ndarray,
     x_off: np.ndarray,
     key: np.ndarray,
-    level: "_ScanLevel",
+    fit: "_Fit",
     score: np.ndarray,
     threshold: np.ndarray,
 ) -> None:
@@ -211,8 +212,8 @@ def _score_chunk(
     seg, source, sizes, last, ends = _position_major(first, length)
     member = slots.take(source)
     del source
-    x = level.XT.take(member + x_off.take(seg))
-    sums = level.stats_of.take(member, axis=0)
+    x = fit.XT.take(member + x_off.take(seg))
+    sums = fit.stats_of.take(member, axis=0)
     del member
     _running_sums(sums, sizes)
     totals = sums.take(last, axis=0)
@@ -229,7 +230,7 @@ def _score_chunk(
     totals = totals.take(seg, axis=0)
     left_w = sums[:, 0]
     right_w = totals[:, 0] - left_w
-    ok = (left_w >= level.min_samples_leaf) & (right_w >= level.min_samples_leaf)
+    ok = (left_w >= fit.min_samples_leaf) & (right_w >= fit.min_samples_leaf)
     if not ok.all():
         ok = np.flatnonzero(ok)
         left, seg = left.take(ok), seg.take(ok)
@@ -262,9 +263,9 @@ def _score_chunk(
     at = first.take(has)
     at += np.searchsorted(ends, left.take(pick.take(has)), side="right")
     x_off = x_off.take(has)
-    x_lo = level.XT.take(slots.take(at) + x_off)
+    x_lo = fit.XT.take(slots.take(at) + x_off)
     at += 1
-    x_hi = level.XT.take(slots.take(at) + x_off)
+    x_hi = fit.XT.take(slots.take(at) + x_off)
     key = key.take(has)
     score[key] = best.take(has)
     threshold[key] = (x_lo + x_hi) / 2.0
@@ -296,17 +297,14 @@ def _feature_blocks(
 
 class _ScanLevel:
     """What every block's scan shares at one level: the expanding nodes'
-    runs and the per-fit lookup tables."""
+    runs, which nodes can split at all, and the fit's lookup tables."""
 
     def __init__(self, starts, lengths, tree_off, splittable, fit) -> None:
         self.starts = starts
         self.lengths = lengths
         self.tree_off = tree_off
         self.splittable = splittable
-        self.n_rows = fit.n_rows
-        self.XT = fit.XT
-        self.stats_of = fit.stats_of
-        self.min_samples_leaf = fit.min_samples_leaf
+        self.fit = fit
 
 
 class _Partition:
@@ -562,7 +560,7 @@ def build_forest_flat(
         partition = _Partition(starts, lengths, n_left, keep)
         for b, (features, slots) in enumerate(blocks):
             blocks[b] = (features, partition.apply(slots, go_left_of))
-        del slots
+        del slots  # a block's old rows are freed once it is replaced
         perm = perm[np.repeat(child_expand, child_lengths)]
         lengths = child_lengths[child_expand]
         starts = np.cumsum(lengths) - lengths
