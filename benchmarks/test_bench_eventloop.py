@@ -3,8 +3,8 @@
 Unlike the figure benchmarks this file guards a *performance property* of
 the substrate itself: the indexed event loop (NumPy clock arrays, release
 calendar, per-(region, SKU) idle heaps — see ``repro.core.worker_index``)
-must beat the retained linear-scan reference
-(:class:`repro.core.loop_reference.ScanEventLoop`) by >=10x events/sec at
+must beat the retained linear-scan reference (``ScanEventLoop`` in
+``tests/core/loop_oracle.py``) by >=10x events/sec at
 1k workers, and a 10k-worker / 1M-event run must sustain a gated
 events/sec floor with bounded memory (slotted telemetry, no per-event
 accumulation).
@@ -24,14 +24,28 @@ Run directly with::
     PYTHONPATH=src python -m pytest benchmarks/test_bench_eventloop.py -q -s
 """
 
+import importlib.util
 import resource
 import time
+from pathlib import Path
 
 from bench_artifacts import write_bench_json
 
 from repro.cloud import Cluster, FleetSpec
-from repro.core import ClusterEventLoop, ScanEventLoop
+from repro.core import ClusterEventLoop
 from repro.core.async_engine import WorkRequest
+
+
+def _load_scan_loop():
+    """``ScanEventLoop`` from the test suite's oracle module, by path."""
+    path = Path(__file__).resolve().parents[1] / "tests" / "core" / "loop_oracle.py"
+    spec = importlib.util.spec_from_file_location("loop_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.ScanEventLoop
+
+
+ScanEventLoop = _load_scan_loop()
 
 SEED = 7
 #: Fleet size for the scan-vs-indexed speedup measurement.

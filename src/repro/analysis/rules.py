@@ -127,7 +127,7 @@ _TIEBREAK_SENSITIVE_BASENAMES = frozenset(
         "scheduler.py",
         "async_engine.py",
         "worker_index.py",
-        "loop_reference.py",
+        "loop_oracle.py",
         "gp.py",
         "smac.py",
         "base.py",

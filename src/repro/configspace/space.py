@@ -119,7 +119,9 @@ class ConfigurationSpace:
                 p.validate(config[p.name])
             chosen = rng.integers(0, self.dimension, size=per_incumbent)
             knobs.append(chosen)
-            for knob in np.unique(chosen).tolist():
+            # The distinct knobs in ascending order, as ``np.unique`` gives
+            # them; a plain ``np.unique`` would import ``numpy.ma`` mid-study.
+            for knob in np.flatnonzero(np.bincount(chosen)).tolist():
                 slots = np.flatnonzero(chosen == knob)
                 p = parameters[knob]
                 column = p.neighbour_native(config[p.name], slots.size, rng, scale=scale)

@@ -18,9 +18,9 @@ design section:
   fault-model duration stretch and speculative re-execution of stragglers
   (the models and policies live in :mod:`repro.faults`).  Scales to
   10k-worker fleets via :mod:`repro.core.worker_index` (indexed idle/claim
-  structures) and :mod:`repro.core.telemetry_slots` (bounded telemetry);
-  :mod:`repro.core.loop_reference` retains the linear-scan loop the indexed
-  one is equivalence-tested and benchmarked against.
+  structures) and :mod:`repro.core.telemetry_slots` (bounded telemetry).
+  The linear-scan loop the indexed one is equivalence-tested and
+  benchmarked against lives with the tests (``tests/core/loop_oracle.py``).
 * :mod:`repro.core.liveness` / :mod:`repro.core.validation` — gray-failure
   tolerance: simulated-time liveness leases with epoch fencing (silent
   workers are *suspected*, their stale reports rejected as zombies) and the
@@ -46,7 +46,6 @@ from repro.core.datastore import Datastore, Sample
 from repro.core.eventlog import EventLog, EventLogError
 from repro.core.execution import ExecutionEngine
 from repro.core.liveness import GrayStats, LivenessMonitor
-from repro.core.loop_reference import ScanEventLoop
 from repro.core.multi_fidelity import SuccessiveHalvingSchedule
 from repro.core.noise_adjuster import NoiseAdjuster
 from repro.core.outlier import OutlierDetector
@@ -103,7 +102,6 @@ __all__ = [
     "LoopTelemetry",
     "RetryPolicy",
     "RingBuffer",
-    "ScanEventLoop",
     "SpillSummary",
     "StudyInterrupted",
     "MultiFidelityTaskScheduler",

@@ -77,7 +77,7 @@ into ring buffers and spill summaries
 (:class:`~repro.core.telemetry_slots.LoopTelemetry`) so memory stays bounded
 on million-sample runs.  The indexed structures reproduce the scans' exact
 tie-break order (stable ordering by worker index, DET005); the pre-refactor
-scan loop survives as :class:`~repro.core.loop_reference.ScanEventLoop` for
+scan loop survives as ``ScanEventLoop`` in ``tests/core/loop_oracle.py`` for
 the equivalence property tests and the ``make bench-eventloop`` baseline.
 """
 

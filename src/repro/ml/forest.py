@@ -21,7 +21,8 @@ block) one split scan that scores only boundaries between distinct values
 (running sums laid out position-major, without padding) plus one partition
 that splits every run and drops the members of children that will not
 expand.  The builder emits one stacked node table, which becomes the
-inference table below directly; ``trees_`` are per-tree views of it.
+inference table below directly; ``trees_`` are per-tree views of it, built
+on first access (only the pointer-walk reference and tests read them).
 Columns constant over the training matrix (e.g. the noise adjuster's
 one-hot columns of workers absent from the data) are never scanned.  The
 per-tree, per-node reference build survives as ``fit_pointer`` and is
@@ -45,8 +46,8 @@ unchanged from the per-tree implementation, which survives as
 Pickling
 --------
 A fitted forest pickles only the stacked table, without its derived
-``_child`` routing array; ``trees_`` and ``_child`` are rebuilt on load, so
-each node is written once per checkpoint.
+``_child`` routing array; ``_child`` is rebuilt on load and ``trees_`` on
+first access, so each node is written once per checkpoint.
 """
 
 from __future__ import annotations
@@ -211,7 +212,7 @@ class RandomForestRegressor:
         self.max_features = max_features
         self.bootstrap = bootstrap
         self._rng = np.random.default_rng(seed)
-        self.trees_: list = []
+        self._trees: Optional[list] = None
         self._flat: Optional[_FlatForest] = None
         self.n_features_: Optional[int] = None
 
@@ -262,29 +263,39 @@ class RandomForestRegressor:
             ),
         )
         self._flat = _FlatForest(table, roots)
-        self.trees_ = self._wrap_trees(self._flat.tree_tables())
+        self._trees = None
         return self
 
-    def _wrap_trees(self, flats) -> list:
-        assert self.n_features_ is not None
-        return [
-            DecisionTreeRegressor._from_flat(
-                flat,
-                self.n_features_,
-                max_depth=self.max_depth,
-                min_samples_split=self.min_samples_split,
-                min_samples_leaf=self.min_samples_leaf,
-                max_features=self.max_features,
-            )
-            for flat in flats
-        ]
+    @property
+    def trees_(self) -> list:
+        """Per-tree :class:`~repro.ml.tree.DecisionTreeRegressor` views.
+
+        Wrapped from the stacked table on first access and cached until the
+        next fit; empty while unfitted.
+        """
+        if self._trees is None:
+            if self._flat is None:
+                return []
+            assert self.n_features_ is not None
+            self._trees = [
+                DecisionTreeRegressor._from_flat(
+                    flat,
+                    self.n_features_,
+                    max_depth=self.max_depth,
+                    min_samples_split=self.min_samples_split,
+                    min_samples_leaf=self.min_samples_leaf,
+                    max_features=self.max_features,
+                )
+                for flat in self._flat.tree_tables()
+            ]
+        return self._trees
 
     def fit_pointer(self, X, y) -> "RandomForestRegressor":
         """Per-tree, per-node reference fit (bit-for-bit equal to :meth:`fit`)."""
         X, y = self._validate_fit(X, y)
         self.n_features_ = X.shape[1]
         seeds, weights = self._draw_tree_inputs(X.shape[0])
-        self.trees_ = []
+        trees = []
         for seed, w in zip(seeds, weights):
             tree = DecisionTreeRegressor(
                 max_depth=self.max_depth,
@@ -294,25 +305,28 @@ class RandomForestRegressor:
                 seed=seed,
             )
             tree.fit_pointer(X, y, sample_weight=w)
-            self.trees_.append(tree)
-        self._flat = _FlatForest.stack([tree.flat for tree in self.trees_])
+            trees.append(tree)
+        self._flat = _FlatForest.stack([tree.flat for tree in trees])
+        self._trees = trees
         return self
 
     # ------------------------------------------------------------- pickling
     def __getstate__(self) -> dict:
-        # The stacked table holds every tree's nodes; writing ``trees_`` too
-        # would store each node twice.  Trees are rebuilt from it on load.
+        # The stacked table holds every tree's nodes; writing the per-tree
+        # views too would store each node twice.
         state = self.__dict__.copy()
-        state["trees_"] = []
+        state["_trees"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:
+        # Older checkpoints stored the views as ``trees_`` (in full, later
+        # as ``[]``); the stacked table alone restores them.
+        state.pop("trees_", None)
+        state["_trees"] = None
         self.__dict__.update(state)
-        if self._flat is not None:
-            self.trees_ = self._wrap_trees(self._flat.tree_tables())
 
     def _check_fitted(self) -> None:
-        if not self.trees_ or self._flat is None:
+        if self._flat is None:
             raise RuntimeError("RandomForestRegressor must be fit before predict")
 
     def _validate_predict_input(self, X) -> np.ndarray:

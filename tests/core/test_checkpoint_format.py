@@ -77,6 +77,10 @@ class TestGeneratorEncoding:
 def _legacy_state(obj):
     """The instance dict the writer before the compact encoding stored."""
     state = obj.__dict__.copy()
+    if isinstance(obj, RandomForestRegressor):
+        # Forests then held their per-tree views eagerly, as ``trees_``.
+        del state["_trees"]
+        state["trees_"] = obj.trees_
     if isinstance(obj, DecisionTreeRegressor):
         # Trees then held an eager feature-subsampling stream.
         seed = state.pop("_seed")

@@ -5,7 +5,7 @@ O(n) worker scans with indexed structures (:class:`repro.core.WorkerIndex`:
 NumPy clock arrays, a release calendar, per-(region, SKU) idle heaps).  The
 refactor's contract is *observational equivalence*: for any submission
 sequence, the indexed :class:`~repro.core.ClusterEventLoop` must reproduce
-the retained :class:`~repro.core.ScanEventLoop` exactly — completion order,
+the retained ``loop_oracle.ScanEventLoop`` exactly — completion order,
 placements, per-worker clocks, makespan, failure traces — including the
 scans' tie-break order (stable by worker index, DET005).
 
@@ -20,9 +20,10 @@ entries) can never drift from the predicate it caches.
 
 import numpy as np
 import pytest
+from loop_oracle import ScanEventLoop
 
 from repro.cloud import Cluster, FleetSpec
-from repro.core import ClusterEventLoop, ScanEventLoop, WorkerIndex, WorkRequest
+from repro.core import ClusterEventLoop, WorkerIndex, WorkRequest
 
 #: Model permutations the equivalence must hold under.  ``None`` and
 #: ``"none"`` are distinct code paths (nothing injected vs injected-but-

@@ -123,3 +123,26 @@ def test_tree_stream_is_created_lazily_from_its_seed():
     # Forest-built trees never draw, so they never build a stream.
     forest, _, _, _ = _fitted()
     assert all(t._rng_stream is None for t in forest.trees_)
+
+
+def test_fit_defers_the_per_tree_views():
+    forest, _, _, _ = _fitted()
+    assert forest._trees is None
+    trees = forest.trees_
+    assert len(trees) == 7 and forest.trees_ is trees
+    forest.fit(*_data()[:2])
+    assert forest._trees is None
+
+
+def test_state_with_an_empty_trees_list_restores():
+    """Checkpoints written before the views were lazy stored ``trees_: []``."""
+    forest, _, _, Q = _fitted()
+    state = forest.__getstate__()
+    del state["_trees"]
+    state["trees_"] = []
+    restored = RandomForestRegressor.__new__(RandomForestRegressor)
+    restored.__setstate__(state)
+    assert "trees_" not in vars(restored)
+    for got, want in zip(restored.predict_mean_std(Q), forest.predict_mean_std(Q)):
+        np.testing.assert_array_equal(got, want)
+    assert len(restored.trees_) == len(forest.trees_)
