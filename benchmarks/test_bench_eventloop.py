@@ -6,8 +6,8 @@ calendar, per-(region, SKU) idle heaps — see ``repro.core.worker_index``)
 must beat the retained linear-scan reference (``ScanEventLoop`` in
 ``tests/core/loop_oracle.py``) by >=10x events/sec at
 1k workers, and a 10k-worker / 1M-event run must sustain a gated
-events/sec floor with bounded memory (slotted telemetry, no per-event
-accumulation).
+events/sec floor with bounded memory (one counter slot per event kind, no
+per-event accumulation).
 
 The driver is a closed-loop saturation workload: keep every worker busy,
 placing each item on the fastest idle worker (the speculative-placement
@@ -139,11 +139,11 @@ def test_bench_eventloop_scale(once):
             "scale_sec": scale_sec,
             "scale_makespan": scale_makespan,
             "max_rss_mb": max_rss_mb,
-            "telemetry": scale_loop.telemetry.snapshot(),
+            "counters": scale_loop.counters.as_dict()["counters"],
         }
 
     result = once(run)
-    telemetry = result["telemetry"]
+    counters = result["counters"]
 
     print(f"\nEvent-loop scale (speedup fleet: {SPEEDUP_WORKERS} workers)")
     print(
@@ -169,9 +169,8 @@ def test_bench_eventloop_scale(once):
         f" (cap {SCALE_MAX_RSS_MB:.0f} MB)"
     )
     print(
-        f"  telemetry ring : {telemetry['recent_window']}/"
-        f"{telemetry['window_capacity']} buffered of "
-        f"{telemetry['n_completed']:,} completions"
+        f"  counter table  : {counters['loop.items.completed']:,.0f} completions"
+        f" of {counters['loop.items.submitted']:,.0f} submissions"
     )
 
     write_bench_json(
@@ -188,7 +187,7 @@ def test_bench_eventloop_scale(once):
             "scale_max_rss_mb": result["max_rss_mb"],
             "makespan_identical": result["scan_makespan"]
             == result["indexed_makespan_small"],
-            "telemetry": telemetry,
+            "counters": counters,
         },
         parameters={
             "seed": SEED,
@@ -213,12 +212,9 @@ def test_bench_eventloop_scale(once):
         f"scale run sustained {result['scale_eps']:,.0f} events/s, below "
         f"the {SCALE_THROUGHPUT_FLOOR:,.0f} floor"
     )
-    # Bounded memory: the telemetry ring holds at most its window while the
-    # all-time counters cover every event, and the process footprint stays
-    # fleet-sized instead of event-sized.
-    assert telemetry["recent_window"] <= telemetry["window_capacity"]
-    assert telemetry["n_completed"] == SCALE_EVENTS
-    assert telemetry["durations"]["count"] == SCALE_EVENTS
+    # Bounded memory: one counter slot per event kind covers every event,
+    # and the process footprint stays fleet-sized instead of event-sized.
+    assert counters["loop.items.completed"] == SCALE_EVENTS
     assert result["max_rss_mb"] <= SCALE_MAX_RSS_MB, (
         f"scale run peaked at {result['max_rss_mb']:.0f} MB RSS "
         f"(cap {SCALE_MAX_RSS_MB:.0f} MB) — telemetry slotting regressed?"

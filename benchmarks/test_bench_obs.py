@@ -181,9 +181,11 @@ def _per_item_instrumentation_sec(config):
 def _per_item_guard_sec():
     """Time the dormant guards one item pays when observability is off.
 
-    Eight ``is not None`` checks per item lifecycle (submit/complete at
-    loop and engine level, tracer begin/end, landed sample, telemetry),
-    measured with the loop overhead included — an upper bound.
+    Eight ``is not None`` checks per item lifecycle, measured with the
+    loop overhead included — an upper bound: an item passes five (loop
+    submit, loop completion, busy hours, tracer begin/end).  Counting is
+    not behind the switch: the engine and loop count every event into
+    their counter table either way.
     """
     metrics = None
     tracer = None

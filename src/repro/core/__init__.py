@@ -18,7 +18,8 @@ design section:
   fault-model duration stretch and speculative re-execution of stragglers
   (the models and policies live in :mod:`repro.faults`).  Scales to
   10k-worker fleets via :mod:`repro.core.worker_index` (indexed idle/claim
-  structures) and :mod:`repro.core.telemetry_slots` (bounded telemetry).
+  structures); its events are counted in a
+  :class:`~repro.obs.metrics.MetricsRegistry`.
   The linear-scan loop the indexed one is equivalence-tested and
   benchmarked against lives with the tests (``tests/core/loop_oracle.py``).
 * :mod:`repro.core.liveness` / :mod:`repro.core.validation` — gray-failure
@@ -45,7 +46,7 @@ from repro.core.async_engine import (
 from repro.core.datastore import Datastore, Sample
 from repro.core.eventlog import EventLog, EventLogError
 from repro.core.execution import ExecutionEngine
-from repro.core.liveness import GrayStats, LivenessMonitor
+from repro.core.liveness import LivenessMonitor
 from repro.core.multi_fidelity import SuccessiveHalvingSchedule
 from repro.core.noise_adjuster import NoiseAdjuster
 from repro.core.outlier import OutlierDetector
@@ -58,7 +59,6 @@ from repro.core.samplers import (
     build_sampler,
 )
 from repro.core.scheduler import MultiFidelityTaskScheduler
-from repro.core.telemetry_slots import LoopTelemetry, RingBuffer, SpillSummary
 from repro.core.tuner import (
     DeploymentResult,
     StudyInterrupted,
@@ -91,7 +91,6 @@ __all__ = [
     "Datastore",
     "EventLog",
     "EventLogError",
-    "GrayStats",
     "IterationReport",
     "build_corruption_model",
     "build_sampler",
@@ -99,10 +98,7 @@ __all__ = [
     "DeploymentResult",
     "ExecutionEngine",
     "LivenessMonitor",
-    "LoopTelemetry",
     "RetryPolicy",
-    "RingBuffer",
-    "SpillSummary",
     "StudyInterrupted",
     "MultiFidelityTaskScheduler",
     "NaiveDistributedSampler",

@@ -72,10 +72,9 @@ Scale: the loop's bookkeeping is *indexed*, not scanned.  Per-worker clocks
 live in a NumPy array behind :class:`~repro.core.worker_index.WorkerIndex`,
 idle-worker lookup and placement ranking are O(log n) heap queries (a
 release calendar plus sorted idle-sets per (region, SKU) group) instead of
-linear scans over ``cluster.workers``, and per-event telemetry is slotted
-into ring buffers and spill summaries
-(:class:`~repro.core.telemetry_slots.LoopTelemetry`) so memory stays bounded
-on million-sample runs.  The indexed structures reproduce the scans' exact
+linear scans over ``cluster.workers``, and each event is counted once in a
+counter slot of a :class:`~repro.obs.metrics.MetricsRegistry`, so memory
+stays bounded on million-sample runs.  The indexed structures reproduce the scans' exact
 tie-break order (stable ordering by worker index, DET005); the pre-refactor
 scan loop survives as ``ScanEventLoop`` in ``tests/core/loop_oracle.py`` for
 the equivalence property tests and the ``make bench-eventloop`` baseline.
@@ -107,8 +106,7 @@ from repro.configspace import Configuration
 from repro.core.datastore import Sample
 from repro.core.eventlog import config_digest
 from repro.core.execution import ExecutionEngine
-from repro.core.liveness import GrayStats, LivenessMonitor
-from repro.core.telemetry_slots import LoopTelemetry
+from repro.core.liveness import LivenessMonitor
 from repro.core.validation import (
     CorruptionContext,
     CorruptionModel,
@@ -120,25 +118,22 @@ from repro.core.worker_index import WorkerIndex
 from repro.faults import (
     CrashContext,
     CrashModel,
-    CrashStats,
     FaultContext,
     FaultModel,
     PartitionContext,
     PartitionModel,
-    PartitionStats,
     SpeculationPolicy,
-    SpeculationStats,
     StragglerDetector,
     build_crash_model,
     build_fault_model,
     build_partition_model,
 )
 from repro.faults.base import Perturbation, armed
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 
 if TYPE_CHECKING:  # avoid import cycles; annotations only
     from repro.core.eventlog import EventLog
     from repro.core.scheduler import MultiFidelityTaskScheduler
-    from repro.obs.metrics import Counter, Histogram, MetricsRegistry
     from repro.obs.tracing import TraceRecorder
 
 #: Configurations whose worker exclusions the engine keeps before evicting
@@ -146,8 +141,48 @@ if TYPE_CHECKING:  # avoid import cycles; annotations only
 #: length on million-sample runs).
 CONFIG_EXCLUSION_CAPACITY = 65536
 
-#: Recent completions kept in the event loop's telemetry ring.
-TELEMETRY_WINDOW = 4096
+#: ``engine_stats`` per fault family: stat name -> key in the engine's
+#: counter table (a bare name sums its label sets).  ``n_`` stats count
+#: events (ints); ``total_delay_hours`` sums hours.
+ENGINE_STATS: Dict[str, Dict[str, str]] = {
+    "speculation": {
+        "n_stragglers_detected": "engine.stragglers.detected",
+        "n_duplicates_submitted": "engine.items.speculated",
+        "n_duplicate_wins": "engine.speculation.races_won",
+        "n_duplicate_losses": "engine.speculation.losses",
+        "n_items_cancelled": "engine.items.cancelled",
+    },
+    "crash": {
+        "n_failures": "engine.items.failed",
+        "n_transient_failures": "engine.failures{fault=transient}",
+        "n_node_death_failures": "engine.failures{fault=node-death}",
+        "n_speculative_failures": "engine.speculation.failures",
+        "n_workers_dead": "engine.workers.dead",
+        "n_retries": "engine.items.retried",
+        "n_exhausted": "engine.retries.exhausted",
+    },
+    "gray": {
+        "n_suspected": "engine.items.suspected",
+        "n_zombies_rejected": "engine.items.zombie_rejected",
+        "n_quarantined": "engine.samples.quarantined",
+        "n_quarantine_retries": "engine.quarantine.retries",
+        "n_quarantine_penalized": "engine.quarantine.penalties",
+        "n_delayed": "loop.reports.delayed",
+        "n_stalls": "loop.reports.delayed{kind=stall}",
+        "n_outages": "loop.reports.delayed{kind=partition}",
+        "n_flaky": "loop.reports.delayed{kind=flaky}",
+        "total_delay_hours": "loop.reports.delay_hours",
+    },
+}
+
+#: Engine keys that name a loop event (or another engine event): one
+#: counter, read under both keys.
+ENGINE_ALIASES = (
+    ("engine.items.failed", "loop.items.failed"),
+    ("engine.items.zombie_rejected", "loop.items.zombie"),
+    ("engine.items.cancelled", "loop.items.cancelled"),
+    ("engine.leases.fenced", "engine.items.suspected"),
+)
 
 
 @dataclass(frozen=True)
@@ -268,9 +303,9 @@ class ClusterEventLoop:
     Worker state is held in a :class:`~repro.core.worker_index.WorkerIndex`
     (NumPy clock array + release calendar + per-(region, SKU) idle heaps),
     so idle/placement queries are O(log n) in the fleet size while
-    reproducing the legacy linear scans' tie-break order exactly.  Event
-    telemetry is slotted (:class:`~repro.core.telemetry_slots.LoopTelemetry`)
-    so introspection stays bounded on million-sample runs.
+    reproducing the legacy linear scans' tie-break order exactly.  Each
+    event is counted once in :attr:`counters`, so introspection stays
+    bounded on million-sample runs.
     """
 
     def __init__(
@@ -294,29 +329,29 @@ class ClusterEventLoop:
         #: monitor schedules no suspicions — bit-for-bit the plain loop.
         self.partition_model = build_partition_model(partition_model)
         self.liveness = liveness
-        self.partition_stats = PartitionStats()
-        #: Optional observability registry.  Purely additive: every use is
-        #: guarded by ``is not None`` and only increments instruments, so an
-        #: attached registry is trajectory-inert (the ``fault_model="none"``
-        #: discipline, guarded by tests/obs/test_obs_equivalence.py).
+        #: The counter table: every loop event is counted here once — in the
+        #: attached observability registry, or in a private one when
+        #: ``metrics`` is None.  Counts never feed back into the trajectory.
+        #: Per-item counters are pre-resolved handles (a float add, no key
+        #: construction); they pickle as shared objects of the registry.
+        self.counters = metrics if metrics is not None else MetricsRegistry()
+        self._c_submitted = self.counters.counter("loop.items.submitted")
+        self._c_completed = self.counters.counter("loop.items.completed")
+        self._c_failed = self.counters.counter("loop.items.failed")
+        self._c_cancelled = self.counters.counter("loop.items.cancelled")
+        self._c_zombie = self.counters.counter("loop.items.zombie")
+        #: Optional observability registry: histograms and busy hours are
+        #: kept only when one is attached.  Purely additive: every use is
+        #: guarded by ``is not None``, so an attached registry is
+        #: trajectory-inert (the ``fault_model="none"`` discipline, guarded
+        #: by tests/obs/test_obs_equivalence.py).
         self._metrics = metrics
         if metrics is not None:
-            # Pre-resolved instrument handles: the per-event cost of an
-            # attached registry is then a float add / ring append, with no
-            # key-string construction or registry lookup on the hot path.
-            # Handles are plain references into the registry, so they pickle
-            # as shared objects inside the same checkpoint graph.
-            self._m_submitted: "Counter" = metrics.counter("loop.items.submitted")
-            self._m_completed: "Counter" = metrics.counter("loop.items.completed")
-            self._m_failed: "Counter" = metrics.counter("loop.items.failed")
-            self._m_cancelled: "Counter" = metrics.counter("loop.items.cancelled")
-            self._m_queue_wait: "Histogram" = metrics.histogram(
-                "loop.queue_wait_hours"
-            )
-            self._m_duration: "Histogram" = metrics.histogram("loop.duration_hours")
+            self._m_queue_wait: Histogram = metrics.histogram("loop.queue_wait_hours")
+            self._m_duration: Histogram = metrics.histogram("loop.duration_hours")
             #: Per-(region, SKU) busy-hours counters, filled lazily as the
             #: fleet's groups first deliver work.
-            self._m_busy: Dict[Tuple[str, str], "Counter"] = {}
+            self._m_busy: Dict[Tuple[str, str], Counter] = {}
         #: Indexed worker state: array-backed clocks, idle heaps, calendar.
         self._workers = WorkerIndex(cluster)
         self._events: List[Tuple[float, int, WorkItem]] = []
@@ -330,8 +365,6 @@ class ClusterEventLoop:
         self.now = 0.0
         #: Largest finish time processed so far — the run's wall-clock.
         self.makespan = 0.0
-        #: Bounded per-event counters + recent-completion ring.
-        self.telemetry = LoopTelemetry(TELEMETRY_WINDOW)
 
     @property
     def worker_index(self) -> WorkerIndex:
@@ -449,15 +482,15 @@ class ClusterEventLoop:
                 item.silent_at = start + partition.silent_fraction * (finish - start)
                 finish += partition.delay_hours
                 item.finish_hours = finish
-                self.partition_stats.record(partition)
+                self.counters.inc("loop.reports.delayed", kind=partition.kind)
+                self.counters.inc("loop.reports.delay_hours", partition.delay_hours)
         self._workers.set_free_at(worker_idx, finish)
         heapq.heappush(self._events, (finish, self._sequence, item))
         self._sequence += 1
         if self.liveness is not None:
             self.liveness.grant(item)
-        self.telemetry.record_submit()
+        self._c_submitted.inc()
         if self._metrics is not None:
-            self._m_submitted.inc()
             # Queue wait: how long the item sat behind the worker's queue
             # beyond the orchestrator's decision instant (backoff excluded).
             self._m_queue_wait.observe(start - max(self.now, not_before))
@@ -547,9 +580,7 @@ class ClusterEventLoop:
             )
         if self.liveness is not None:
             self.liveness.settle(item.sequence)
-        self.telemetry.record_cancel()
-        if self._metrics is not None:
-            self._m_cancelled.inc()
+        self._c_cancelled.inc()
 
     def _purge_cancelled_heads(self) -> None:
         """Drop cancelled items sitting at the top of the event heap."""
@@ -608,27 +639,23 @@ class ClusterEventLoop:
             raise RuntimeError("no work in flight")
         finish, _, item = heapq.heappop(self._events)
         self.now = max(self.now, finish)
-        if not item.failed and not item.fenced:
-            # A fenced item's report is a stale observation, not delivered
-            # work: like a failure it advances only ``now`` — the slot's
-            # wall-clock is defined by its re-submission's real completion.
-            self.makespan = max(self.makespan, finish)
         item.done = True
         if self.liveness is not None:
             self.liveness.settle(item.sequence)
-        if item.failed or item.fenced:
-            self.telemetry.record_fail()
+        # A fenced item's report is a stale observation, not delivered work:
+        # like a failure it advances only ``now`` — the slot's wall-clock is
+        # defined by its re-submission's real completion.
+        if item.fenced:
+            self._c_zombie.inc()
+        elif item.failed:
+            self._c_failed.inc()
         else:
-            self.telemetry.record_complete(finish, finish - item.start_hours)
+            self.makespan = max(self.makespan, finish)
+            self._c_completed.inc()
+            if self._metrics is not None:
+                self._m_duration.observe(finish - item.start_hours)
         if self._metrics is not None:
             vm = item.vm
-            if item.fenced:
-                self._metrics.inc("loop.items.zombie")
-            elif item.failed:
-                self._m_failed.inc()
-            else:
-                self._m_completed.inc()
-                self._m_duration.observe(finish - item.start_hours)
             # Per-(region, SKU) delivered busy hours: the utilization split
             # the run report renders (failed items were busy until death).
             group = (vm.region.name, vm.sku.name)
@@ -701,7 +728,9 @@ class AsyncExecutionEngine:
     → workers it touched, bounded by :data:`CONFIG_EXCLUSION_CAPACITY`).
     Speculative duplicates and retries hold engine-owned scheduler
     reservations; :meth:`auxiliary_workers_for` lets the sampler keep
-    regular placement off the workers running them.
+    regular placement off the workers running them.  Each event is counted
+    once in :attr:`counters` (the loop's table), from which
+    :meth:`engine_stats` is derived.
     """
 
     def __init__(
@@ -766,33 +795,32 @@ class AsyncExecutionEngine:
             liveness=liveness,
         )
         #: Gray-failure attachments: the result-quarantine gate between the
-        #: engine and the optimizer, the seeded corruption injector that
-        #: exercises it, and the run's suspicion/fencing/quarantine tallies.
-        #: A validator on a clean run rejects nothing (inert); the ``"none"``
-        #: corruption model draws no RNG.
+        #: engine and the optimizer and the seeded corruption injector that
+        #: exercises it.  A validator on a clean run rejects nothing (inert);
+        #: the ``"none"`` corruption model draws no RNG.
         self._validator = build_validator(validation)
         self._corruption_model = corruption_model
-        self.gray_stats = GrayStats()
-        #: Optional observability instruments (``is not None``-guarded and
-        #: write-only, so attaching them is trajectory-inert).
-        self._metrics = metrics
+        #: The loop's counter table, shared: each engine event is counted
+        #: once, and :meth:`engine_stats` is derived from it.  Once-per-item
+        #: sites hold pre-resolved handles; rarer ones count by name.
+        self.counters = self.loop.counters
+        for name, target in ENGINE_ALIASES:
+            self.counters.alias(name, target)
+        self._c_submitted = self.counters.counter("engine.items.submitted")
+        self._c_completed = self.counters.counter("engine.items.completed")
+        self._c_landed = self.counters.counter("engine.samples.landed")
+        #: What an attached registry already held (an earlier engine's
+        #: counts): :meth:`engine_stats` reports only this engine's.
+        self._stats_origin = {
+            key: self.counters.total(key)
+            for keys in ENGINE_STATS.values()
+            for key in keys.values()
+        }
+        #: Optional lifecycle tracer (``is not None``-guarded and write-only,
+        #: so attaching it is trajectory-inert).
         self._tracer = tracer
-        if metrics is not None:
-            # Pre-resolved handles for the once-per-item sites (submit,
-            # complete, land) — same hot-path discipline as the event
-            # loop's; rarer sites (retries, cancels, speculation) keep the
-            # name-addressed convenience calls.
-            self._m_eng_submitted: "Counter" = metrics.counter(
-                "engine.items.submitted"
-            )
-            self._m_eng_completed: "Counter" = metrics.counter(
-                "engine.items.completed"
-            )
-            self._m_eng_landed: "Counter" = metrics.counter("engine.samples.landed")
         self.speculation = speculation
         self.retry_policy = retry_policy
-        self.stats = SpeculationStats()
-        self.crash_stats = CrashStats()
         self._detector = (
             StragglerDetector(speculation) if speculation is not None else None
         )
@@ -866,8 +894,7 @@ class AsyncExecutionEngine:
                 region=vm.region.name,
                 sku=vm.sku.name,
             )
-            if self._metrics is not None:
-                self._m_eng_submitted.inc()
+            self._c_submitted.inc()
             self._trace_begin(item, "run", submitted_at)
         self.n_submitted_requests += 1
         return items
@@ -1031,7 +1058,6 @@ class AsyncExecutionEngine:
             self._detector.observe(
                 self.execution.work_units(item.vm, item.finish_hours - item.start_hours)
             )
-            self.stats.detection_threshold_hours = self._detector.threshold()
         self._log(
             "complete",
             item=item.sequence,
@@ -1041,10 +1067,9 @@ class AsyncExecutionEngine:
             value=sample.value,
             crashed=sample.crashed,
         )
-        if self._metrics is not None:
-            self._m_eng_completed.inc()
-            if item.speculative:
-                self._metrics.inc("engine.speculation.wins")
+        self._c_completed.inc()
+        if item.speculative:
+            self.counters.inc("engine.speculation.wins")
         if self._tracer is not None:
             self._tracer.end(
                 item.sequence, item.finish_hours, "complete", value=sample.value
@@ -1062,7 +1087,7 @@ class AsyncExecutionEngine:
         if item.speculative:
             if slot.primary is not None:
                 self._cancel_item(slot.primary)
-            self.stats.n_duplicate_wins += 1
+            self.counters.inc("engine.speculation.races_won")
         self._release(item)
         slot.primary, slot.clones = None, []
         return slot
@@ -1075,10 +1100,9 @@ class AsyncExecutionEngine:
         if slot.landed:
             raise RuntimeError("a sample slot landed twice")
         slot.landed = True
-        if self._metrics is not None:
-            self._m_eng_landed.inc()
-            if sample.crashed:
-                self._metrics.inc("engine.samples.crashed")
+        self._c_landed.inc()
+        if sample.crashed:
+            self.counters.inc("engine.samples.crashed")
         owner = slot.owner
         owner.samples.append(sample)
         if len(owner.samples) < len(owner.request.vms):
@@ -1100,18 +1124,16 @@ class AsyncExecutionEngine:
         """React to a fail-stop failure event (the copy is lost at its
         failure instant)."""
         worker_id = item.vm.vm_id
-        self.crash_stats.n_failures += 1
-        if item.failure_kind == "transient":
-            self.crash_stats.n_transient_failures += 1
-        elif item.failure_kind == "node-death":
-            self.crash_stats.n_node_death_failures += 1
+        self.counters.inc("engine.failures", fault=item.failure_kind)
+        if item.speculative:
+            self.counters.inc("engine.speculation.failures")
         if self.loop.is_dead(worker_id) and worker_id not in self._dead_seen:
             # The failure *revealed* the node death: drain the worker from
             # the placement fleet.  Its reservations stay accounted — they
             # are released through the normal completion/failure paths — so
             # the study degrades gracefully onto the survivors.
             self._dead_seen.add(worker_id)
-            self.crash_stats.n_workers_dead += 1
+            self.counters.inc("engine.workers.dead")
             if self._scheduler is not None:
                 self._scheduler.mark_dead(worker_id)
         self._log(
@@ -1124,15 +1146,10 @@ class AsyncExecutionEngine:
             speculative=item.speculative,
             worker_dead=self.loop.is_dead(worker_id),
         )
-        if self._metrics is not None:
-            self._metrics.inc("engine.items.failed")
-            self._metrics.inc("engine.failures", fault=item.failure_kind)
         if self._tracer is not None:
             self._tracer.end(
                 item.sequence, item.finish_hours, "fail", fault=item.failure_kind
             )
-        if item.speculative:
-            self.crash_stats.n_speculative_failures += 1
         return self._lose_copy(item, item.finish_hours)
 
     def _handle_suspicion(
@@ -1149,7 +1166,7 @@ class AsyncExecutionEngine:
         """
         worker_id = item.vm.vm_id
         suspected_at = self.loop.now
-        self.gray_stats.n_suspected += 1
+        self.counters.inc("engine.items.suspected")
         self._log(
             "suspect",
             item=item.sequence,
@@ -1168,9 +1185,6 @@ class AsyncExecutionEngine:
             t=suspected_at,
             epoch=item.epoch,
         )
-        if self._metrics is not None:
-            self._metrics.inc("engine.items.suspected")
-            self._metrics.inc("engine.leases.fenced")
         if self._tracer is not None:
             self._tracer.end(item.sequence, suspected_at, "suspect")
         if self._scheduler is not None:
@@ -1208,7 +1222,6 @@ class AsyncExecutionEngine:
         ever being evaluated, so no measurement RNG is consumed and at most
         one result per slot can reach the optimizer.
         """
-        self.gray_stats.n_zombies_rejected += 1
         if self._scheduler is not None:
             # The silent worker finally reported back: it is reachable
             # again and rejoins the placement pool.
@@ -1222,8 +1235,6 @@ class AsyncExecutionEngine:
             epoch=item.epoch,
             failed=item.failed,
         )
-        if self._metrics is not None:
-            self._metrics.inc("engine.items.zombie_rejected")
 
     def _quarantine(
         self,
@@ -1240,7 +1251,8 @@ class AsyncExecutionEngine:
         sample — the same degraded-but-finite signal the fail-stop path
         produces.
         """
-        self.gray_stats.n_quarantined += 1
+        self.counters.inc("engine.samples.quarantined")
+        self.counters.inc("engine.quarantines", reason=reason)
         self._log(
             "quarantined",
             item=item.sequence,
@@ -1251,19 +1263,33 @@ class AsyncExecutionEngine:
             reason=reason,
             attempt=slot.attempts,
         )
-        if self._metrics is not None:
-            self._metrics.inc("engine.samples.quarantined")
-            self._metrics.inc("engine.quarantines", reason=reason)
         if self._tracer is not None:
             self._tracer.end(
                 item.sequence, item.finish_hours, "quarantined", reason=reason
             )
         result = self._retry_or_exhaust(slot, item, item.finish_hours)
-        if slot.landed:
-            self.gray_stats.n_quarantine_penalized += 1
-        else:
-            self.gray_stats.n_quarantine_retries += 1
+        self.counters.inc(
+            "engine.quarantine.penalties" if slot.landed else "engine.quarantine.retries"
+        )
         return result
+
+    def engine_stats(self) -> Optional[Dict[str, Any]]:
+        """The armed fault families' counts, read from the counter table
+        through :data:`ENGINE_STATS` (``None`` when no family is armed)."""
+        families = {
+            "speculation": self._detector is not None,
+            "crash": armed(self.loop.crash_model),
+            "gray": self.gray_enabled,
+        }
+        stats: Dict[str, Any] = {}
+        for family, keys in ENGINE_STATS.items():
+            if families[family]:
+                for name, key in keys.items():
+                    value = self.counters.total(key) - self._stats_origin[key]
+                    stats[name] = int(value) if name.startswith("n_") else value
+        if self._detector is not None:
+            stats["detection_threshold_hours"] = self._detector.threshold()
+        return stats or None
 
     @property
     def gray_enabled(self) -> bool:
@@ -1305,7 +1331,7 @@ class AsyncExecutionEngine:
                 if self._scheduler is not None:
                     self._scheduler.reserve([vm.vm_id])
                     self._scheduler.record_external_load(vm.vm_id)
-                self.crash_stats.n_retries += 1
+                self.counters.inc("engine.items.retried")
                 self._log(
                     "retry",
                     item=item.sequence,
@@ -1318,13 +1344,9 @@ class AsyncExecutionEngine:
                     region=vm.region.name,
                     sku=vm.sku.name,
                 )
-                if self._metrics is not None:
-                    self._metrics.inc("engine.items.retried")
                 self._trace_begin(item, "retry", decided_at)
                 return None
-        self.crash_stats.n_exhausted += 1
-        if self._metrics is not None:
-            self._metrics.inc("engine.retries.exhausted")
+        self.counters.inc("engine.retries.exhausted")
         sample = self.execution.crashed_sample(
             request.config,
             failed_item.vm.vm_id,
@@ -1353,9 +1375,8 @@ class AsyncExecutionEngine:
         """
         self.loop.cancel(item)
         del self._slots[item.sequence]
-        self.stats.n_items_cancelled += 1
         if item.speculative:
-            self.stats.n_duplicate_losses += 1
+            self.counters.inc("engine.speculation.losses")
         # The instant the worker is released back to (same expression as
         # ClusterEventLoop.cancel): when the item never started, its span
         # collapses to zero length at its scheduled start.
@@ -1367,10 +1388,6 @@ class AsyncExecutionEngine:
             worker=item.vm.vm_id,
             t=cancelled_at,
         )
-        if self._metrics is not None:
-            self._metrics.inc("engine.items.cancelled")
-            if item.speculative:
-                self._metrics.inc("engine.speculation.losses")
         if self._tracer is not None:
             self._tracer.end(item.sequence, cancelled_at, "cancel")
         self._release(item)
@@ -1405,9 +1422,7 @@ class AsyncExecutionEngine:
         """Count the slot's current primary as a straggler (once)."""
         if not slot.flagged:
             slot.flagged = True
-            self.stats.n_stragglers_detected += 1
-            if self._metrics is not None:
-                self._metrics.inc("engine.stragglers.detected")
+            self.counters.inc("engine.stragglers.detected")
 
     def _speculate_at_crossings(self) -> None:
         """Process straggler *detection events* before the next completion.
@@ -1510,7 +1525,7 @@ class AsyncExecutionEngine:
         if self._scheduler is not None:
             self._scheduler.reserve([vm.vm_id])
             self._scheduler.record_external_load(vm.vm_id)
-        self.stats.n_duplicates_submitted += 1
+        self.counters.inc("engine.items.speculated")
         self._log(
             "speculate",
             item=clone.sequence,
@@ -1522,8 +1537,6 @@ class AsyncExecutionEngine:
             region=vm.region.name,
             sku=vm.sku.name,
         )
-        if self._metrics is not None:
-            self._metrics.inc("engine.items.speculated")
         self._trace_begin(clone, "speculative", self.loop.now)
 
     def next_completed_requests(self) -> List[Tuple[WorkRequest, List[Sample]]]:

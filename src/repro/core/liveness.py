@@ -26,31 +26,10 @@ no suspicions and the trajectory is bit-for-bit the unleased one.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # annotation only; avoids the core<->engine import cycle
     from repro.core.async_engine import WorkItem
-
-
-@dataclass
-class GrayStats:
-    """What the gray-failure machinery observed and did during a run."""
-
-    n_suspected: int = 0
-    n_zombies_rejected: int = 0
-    n_quarantined: int = 0
-    n_quarantine_retries: int = 0
-    n_quarantine_penalized: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "n_suspected": self.n_suspected,
-            "n_zombies_rejected": self.n_zombies_rejected,
-            "n_quarantined": self.n_quarantined,
-            "n_quarantine_retries": self.n_quarantine_retries,
-            "n_quarantine_penalized": self.n_quarantine_penalized,
-        }
 
 
 class LivenessMonitor:

@@ -54,9 +54,10 @@ if TYPE_CHECKING:  # annotation only; obs is an optional attachment
 class TuningResult:
     """Everything a tuning run produced.
 
-    ``engine_stats`` carries the speculative re-execution counters
-    (stragglers detected, duplicates submitted/won/lost) when straggler
-    mitigation was armed; ``None`` otherwise.
+    ``engine_stats`` carries the fault-path counts of every armed family
+    (speculation, crashes, gray failures; see
+    :meth:`~repro.core.async_engine.AsyncExecutionEngine.engine_stats`);
+    ``None`` when none was armed.
     """
 
     sampler_name: str
@@ -612,9 +613,8 @@ class TuningLoop:
 
     def _drive_async(self, state: _AsyncRunState) -> TuningResult:
         engine = state.engine
-        crash_active = armed(self.crash_model)
         if engine.speculation is not None or (
-            crash_active and engine.retry_policy is not None
+            armed(self.crash_model) and engine.retry_policy is not None
         ):
             # Let placement exclude workers running speculative duplicates
             # or crash retries (their eventual result occupies an existing
@@ -697,14 +697,6 @@ class TuningLoop:
         else:
             wall_clock = engine.finalize()
 
-        engine_stats = {}
-        if engine.speculation is not None:
-            engine_stats.update(engine.stats.as_dict())
-        if crash_active:
-            engine_stats.update(engine.crash_stats.as_dict())
-        if engine.gray_enabled:
-            engine_stats.update(engine.gray_stats.as_dict())
-            engine_stats.update(engine.loop.partition_stats.as_dict())
         if self.event_log is not None:
             self.event_log.append(
                 "finish",
@@ -723,7 +715,7 @@ class TuningLoop:
             n_iterations=state.completed,
             n_samples=state.samples,
             wall_clock_hours=wall_clock,
-            engine_stats=engine_stats or None,
+            engine_stats=engine.engine_stats(),
         )
 
     # ----------------------------------------------------------- durability

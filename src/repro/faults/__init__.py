@@ -36,7 +36,6 @@ from repro.faults.crash import (
     CrashContext,
     CrashDecision,
     CrashModel,
-    CrashStats,
     NoCrashModel,
     NodeDeathModel,
     TransientCrashModel,
@@ -62,15 +61,10 @@ from repro.faults.partition import (
     PartitionDecision,
     PartitionModel,
     PartitionOutageModel,
-    PartitionStats,
     StallModel,
     build_partition_model,
 )
-from repro.faults.straggler import (
-    SpeculationPolicy,
-    SpeculationStats,
-    StragglerDetector,
-)
+from repro.faults.straggler import SpeculationPolicy, StragglerDetector
 
 __all__ = [
     "CRASH_MODELS",
@@ -83,7 +77,6 @@ __all__ = [
     "CrashContext",
     "CrashDecision",
     "CrashModel",
-    "CrashStats",
     "FaultContext",
     "FaultModel",
     "FlakyReconnectModel",
@@ -97,9 +90,7 @@ __all__ = [
     "PartitionDecision",
     "PartitionModel",
     "PartitionOutageModel",
-    "PartitionStats",
     "SpeculationPolicy",
-    "SpeculationStats",
     "StallModel",
     "StragglerDetector",
     "TransientCrashModel",

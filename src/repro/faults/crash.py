@@ -184,30 +184,6 @@ class CompositeCrashModel(
         return min(failed, key=lambda d: d.fail_at_hours)
 
 
-@dataclass
-class CrashStats:
-    """What the crash-fault machinery observed and did during a run."""
-
-    n_failures: int = 0
-    n_transient_failures: int = 0
-    n_node_death_failures: int = 0
-    n_speculative_failures: int = 0
-    n_workers_dead: int = 0
-    n_retries: int = 0
-    n_exhausted: int = 0
-
-    def as_dict(self) -> Dict:
-        return {
-            "n_failures": self.n_failures,
-            "n_transient_failures": self.n_transient_failures,
-            "n_node_death_failures": self.n_node_death_failures,
-            "n_speculative_failures": self.n_speculative_failures,
-            "n_workers_dead": self.n_workers_dead,
-            "n_retries": self.n_retries,
-            "n_exhausted": self.n_exhausted,
-        }
-
-
 #: Known model names for :func:`build_crash_model` (aliases included).
 CRASH_MODELS = {
     "none": NoCrashModel,

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, List, Optional
 
 import numpy as np
 
@@ -238,36 +238,6 @@ class CompositePartitionModel(
         if not delayed:
             return RESPONSIVE
         return max(delayed, key=lambda d: d.delay_hours)
-
-
-@dataclass
-class PartitionStats:
-    """What the partition machinery injected during a run (loop-side)."""
-
-    n_delayed: int = 0
-    n_stalls: int = 0
-    n_outages: int = 0
-    n_flaky: int = 0
-    total_delay_hours: float = 0.0
-
-    def record(self, decision: PartitionDecision) -> None:
-        self.n_delayed += 1
-        self.total_delay_hours += decision.delay_hours
-        if decision.kind == "stall":
-            self.n_stalls += 1
-        elif decision.kind == "partition":
-            self.n_outages += 1
-        elif decision.kind == "flaky":
-            self.n_flaky += 1
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "n_delayed": self.n_delayed,
-            "n_stalls": self.n_stalls,
-            "n_outages": self.n_outages,
-            "n_flaky": self.n_flaky,
-            "total_delay_hours": self.total_delay_hours,
-        }
 
 
 #: Known model names for :func:`build_partition_model` (aliases included).

@@ -18,8 +18,10 @@ duplicate on an idle worker.  The execution engine owns the mechanics
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Optional
+
+from repro.obs.metrics import RingBuffer
 
 
 @dataclass(frozen=True)
@@ -67,11 +69,6 @@ class StragglerDetector:
     """
 
     def __init__(self, policy: Optional[SpeculationPolicy] = None) -> None:
-        # Imported here, not at module top: repro.core.async_engine imports
-        # this package, so a top-level import of repro.core from here would
-        # be a circular package initialisation.
-        from repro.core.telemetry_slots import RingBuffer
-
         self.policy = policy if policy is not None else SpeculationPolicy()
         self._durations = RingBuffer(self.policy.history_window)
         self._threshold: Optional[float] = None  # cache, invalidated by observe
@@ -109,27 +106,3 @@ class StragglerDetector:
     def is_straggler(self, normalized_elapsed: float) -> bool:
         threshold = self.threshold()
         return threshold is not None and normalized_elapsed > threshold
-
-
-@dataclass
-class SpeculationStats:
-    """What the speculative re-execution machinery did during a run."""
-
-    n_stragglers_detected: int = 0
-    n_duplicates_submitted: int = 0
-    n_duplicate_wins: int = 0
-    n_duplicate_losses: int = 0
-    n_items_cancelled: int = 0
-    detection_threshold_hours: Optional[float] = None
-    extra: Dict = field(default_factory=dict)
-
-    def as_dict(self) -> Dict:
-        return {
-            "n_stragglers_detected": self.n_stragglers_detected,
-            "n_duplicates_submitted": self.n_duplicates_submitted,
-            "n_duplicate_wins": self.n_duplicate_wins,
-            "n_duplicate_losses": self.n_duplicate_losses,
-            "n_items_cancelled": self.n_items_cancelled,
-            "detection_threshold_hours": self.detection_threshold_hours,
-            **self.extra,
-        }

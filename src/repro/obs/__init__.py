@@ -13,17 +13,32 @@ Three layers, all off by default and trajectory-inert when enabled:
 
 Host time enters only through the injectable :mod:`repro.obs.clock` shim;
 the default :class:`NullClock` never reads the wall clock.
+
+The engine imports :mod:`repro.obs.metrics` (its counter table) in every
+study; the tracer and the report load on first use, so that import stays
+cheap.
 """
+
+from importlib import import_module
+from typing import Any
 
 from repro.obs.clock import Clock, HostClock, NullClock
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.report import RunReport, report_from_log
-from repro.obs.tracing import (
-    Span,
-    TraceRecorder,
-    spans_from_events,
-    to_chrome_trace,
-)
+
+_LAZY = {
+    "RunReport": "repro.obs.report",
+    "report_from_log": "repro.obs.report",
+    "Span": "repro.obs.tracing",
+    "TraceRecorder": "repro.obs.tracing",
+    "spans_from_events": "repro.obs.tracing",
+    "to_chrome_trace": "repro.obs.tracing",
+}
+
+
+def __getattr__(name: str) -> Any:
+    if name in _LAZY:
+        return getattr(import_module(_LAZY[name]), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "Clock",

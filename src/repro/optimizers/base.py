@@ -31,16 +31,14 @@ def cost_to_objective(cost: float, objective: Objective) -> float:
     return float(cost)
 
 
-#: Known strategies for in-flight fantasies (§6.6 ablation).  The constant
-#: liars record the best / mean / worst cost seen so far for a pending
-#: configuration.  ``"min"`` is aggressive (assumes the pending point is
-#: great, pushes later asks far away); ``"max"`` is pessimistic (assumes it
-#: is poor, allows revisiting nearby); ``"mean"`` sits between.
-#: ``"posterior"`` records the CL-min lie too, but does not invalidate the
-#: fitted surrogate: SMAC serves the asks that follow from the same forest,
-#: each scoring EI under a bootstrap resample of its trees (batch Thompson
+#: Known strategies for in-flight fantasies (§6.6 ablation).  Both record
+#: the best cost seen so far for a pending configuration (the constant
+#: liar CL-min: aggressive, it pushes later asks away from the pending
+#: point).  ``"min"`` invalidates the fitted surrogate; ``"posterior"``
+#: does not: SMAC serves the asks that follow from the same forest, each
+#: scoring EI under a bootstrap resample of its trees (batch Thompson
 #: sampling), and the lies reach the surrogate at its next refit.
-LIAR_STRATEGIES = ("min", "mean", "max", "posterior")
+LIAR_STRATEGIES = ("min", "posterior")
 
 
 def check_liar(liar: str) -> None:
@@ -180,14 +178,12 @@ class Optimizer(abc.ABC):
     ) -> OptimizerObservation:
         """Record a constant-liar observation for an in-flight configuration.
 
-        ``liar`` chooses the lie from the costs seen so far: ``"min"`` (the
-        best cost — the aggressive default, which collapses the acquisition
-        function around the pending point and steers subsequent asks away
-        from it), ``"mean"`` (CL-mean) or ``"max"`` (CL-max, the
-        pessimistic variant).  With no real observations yet the statistic
-        is taken over the pending lies, or 0.0 for a completely cold
-        optimizer (harmless: asks fall back to random sampling until two
-        real observations exist).
+        The lie is the best cost seen so far (CL-min), which collapses the
+        acquisition function around the pending point and steers subsequent
+        asks away from it.  With no real observations yet the minimum is
+        taken over the pending lies, or 0.0 for a completely cold optimizer
+        (harmless: asks fall back to random sampling until two real
+        observations exist).
 
         ``"posterior"`` records the CL-min lie without advancing the data
         fingerprint: a cached surrogate stays valid, and the fantasy is
@@ -196,15 +192,7 @@ class Optimizer(abc.ABC):
         """
         check_liar(liar)
         pool = self.observations or self._pending
-        costs = [obs.cost for obs in pool]
-        if not costs:
-            lie = 0.0
-        elif liar in ("min", "posterior"):
-            lie = min(costs)
-        elif liar == "max":
-            lie = max(costs)
-        else:
-            lie = float(np.mean(costs))
+        lie = min((obs.cost for obs in pool), default=0.0)
         observation = OptimizerObservation(
             config, float(lie), float(budget), {"fantasy": True, "liar": liar}
         )

@@ -276,7 +276,7 @@ class TestConfigExclusionEviction:
 
         engine.submit(WorkRequest(a, 1, [cluster.workers[1]], 3))
         _, samples = engine.next_completed_request()
-        assert engine.crash_stats.n_retries == 1
+        assert engine.engine_stats()["n_retries"] == 1
         return samples[0].worker_id
 
     def test_retry_of_an_evicted_config_avoids_its_landed_workers(self):

@@ -230,9 +230,9 @@ class TestRetryRecovery:
         )
         requests = submit_singles(engine, cluster, [0, 1])
         completed = drain(engine)
-        assert engine.crash_stats.n_failures == 1
-        assert engine.crash_stats.n_retries == 1
-        assert engine.crash_stats.n_exhausted == 0
+        assert engine.engine_stats()["n_failures"] == 1
+        assert engine.engine_stats()["n_retries"] == 1
+        assert engine.engine_stats()["n_exhausted"] == 0
         crashed_slot = completed[id(requests[0])]
         assert len(crashed_slot) == 1
         assert not crashed_slot[0].crashed  # the retry delivered a real value
@@ -249,7 +249,7 @@ class TestRetryRecovery:
         # than fail + backoff, and the makespan (set by the retry's real
         # completion) reflects the delay.
         fail_at = 0.5 * engine.duration_for(cluster.workers[0])
-        assert engine.crash_stats.n_retries == 1
+        assert engine.engine_stats()["n_retries"] == 1
         assert engine.makespan_hours >= fail_at + 0.25
 
     def test_zero_retry_budget_surfaces_the_penalty_immediately(self):
@@ -258,8 +258,8 @@ class TestRetryRecovery:
         )
         requests = submit_singles(engine, cluster, [0])
         completed = drain(engine)
-        assert engine.crash_stats.n_retries == 0
-        assert engine.crash_stats.n_exhausted == 1
+        assert engine.engine_stats()["n_retries"] == 0
+        assert engine.engine_stats()["n_exhausted"] == 1
         sample = completed[id(requests[0])][0]
         assert sample.crashed
         assert sample.details.get("fail_stop") is True
@@ -269,7 +269,7 @@ class TestRetryRecovery:
         engine, cluster = make_engine(ScriptedCrash(fail_at=[0]), retry_policy=None)
         requests = submit_singles(engine, cluster, [0])
         completed = drain(engine)
-        assert engine.crash_stats.n_exhausted == 1
+        assert engine.engine_stats()["n_exhausted"] == 1
         assert completed[id(requests[0])][0].crashed
 
     def test_exhausting_the_budget_after_repeated_failures(self):
@@ -280,9 +280,9 @@ class TestRetryRecovery:
         )
         requests = submit_singles(engine, cluster, [0])
         completed = drain(engine)
-        assert engine.crash_stats.n_failures == 2
-        assert engine.crash_stats.n_retries == 1
-        assert engine.crash_stats.n_exhausted == 1
+        assert engine.engine_stats()["n_failures"] == 2
+        assert engine.engine_stats()["n_retries"] == 1
+        assert engine.engine_stats()["n_exhausted"] == 1
         assert completed[id(requests[0])][0].crashed
 
     def test_failed_items_do_not_define_the_makespan(self):
@@ -306,7 +306,7 @@ class TestNodeDeath:
         )
         requests = submit_singles(engine, cluster, [0, 1])
         completed = drain(engine)
-        assert engine.crash_stats.n_workers_dead == 1
+        assert engine.engine_stats()["n_workers_dead"] == 1
         assert engine.loop.is_dead("worker-0")
         assert engine.loop.n_dead == 1
         assert all(vm.vm_id != "worker-0" for vm in engine.loop.idle_workers())
@@ -331,8 +331,8 @@ class TestNodeDeath:
         assert item.finish_hours == item.start_hours
         drain(engine)
         # The worker died once, even though two failures carried the death.
-        assert engine.crash_stats.n_workers_dead == 1
-        assert engine.crash_stats.n_failures == 2
+        assert engine.engine_stats()["n_workers_dead"] == 1
+        assert engine.engine_stats()["n_failures"] == 2
 
     def test_study_completes_on_the_last_survivor(self):
         """Graceful degradation: all workers but one die early; the study
@@ -407,9 +407,9 @@ class TestSpeculationCrashInterplay:
         engine, cluster = self._engine(ScriptedCrash(fail_at=[4]))
         requests = submit_singles(engine, cluster, [0, 1, 2, 3])
         completed = drain(engine)
-        assert engine.stats.n_duplicates_submitted == 1
-        assert engine.crash_stats.n_speculative_failures == 1
-        assert engine.crash_stats.n_retries == 0
+        assert engine.engine_stats()["n_duplicates_submitted"] == 1
+        assert engine.engine_stats()["n_speculative_failures"] == 1
+        assert engine.engine_stats()["n_retries"] == 0
         straggler_samples = completed[id(requests[0])]
         assert len(straggler_samples) == 1
         assert not straggler_samples[0].crashed
@@ -428,7 +428,7 @@ class TestSpeculationCrashInterplay:
         assert len(straggler_samples) == 1
         assert not straggler_samples[0].crashed
         assert straggler_samples[0].details.get("speculative") is True
-        assert engine.crash_stats.n_retries == 0
+        assert engine.engine_stats()["n_retries"] == 0
 
     def test_original_and_clone_both_crash_triggers_recovery(self):
         # Original (call 0) and its clone (call 4) both die: the slot is
@@ -438,9 +438,9 @@ class TestSpeculationCrashInterplay:
         )
         requests = submit_singles(engine, cluster, [0, 1, 2, 3])
         completed = drain(engine)
-        assert engine.crash_stats.n_failures == 2
-        assert engine.crash_stats.n_speculative_failures == 1
-        assert engine.crash_stats.n_retries == 1
+        assert engine.engine_stats()["n_failures"] == 2
+        assert engine.engine_stats()["n_speculative_failures"] == 1
+        assert engine.engine_stats()["n_retries"] == 1
         straggler_samples = completed[id(requests[0])]
         assert len(straggler_samples) == 1
         assert not straggler_samples[0].crashed

@@ -288,9 +288,9 @@ class TestLeaseFencing:
         )
         requests = submit_singles(engine, cluster, [0, 1])
         completed = drain_items(engine)
-        assert engine.gray_stats.n_suspected == 1
-        assert engine.gray_stats.n_zombies_rejected == 1
-        assert engine.crash_stats.n_retries == 1
+        assert engine.engine_stats()["n_suspected"] == 1
+        assert engine.engine_stats()["n_zombies_rejected"] == 1
+        assert engine.counters.counter_value("engine.items.retried") == 1
         # Exactly one accepted result per slot, none from the fenced epoch.
         assert sorted(completed) == [0, 1]
         recovered = completed[0][0]
@@ -323,9 +323,9 @@ class TestLeaseFencing:
         )
         requests = submit_singles(engine, cluster, [0, 1])
         completed = drain_items(engine)
-        assert engine.gray_stats.n_suspected == 0
-        assert engine.gray_stats.n_zombies_rejected == 0
-        assert engine.crash_stats.n_retries == 0
+        assert engine.engine_stats()["n_suspected"] == 0
+        assert engine.engine_stats()["n_zombies_rejected"] == 0
+        assert engine.counters.counter_value("engine.items.retried") == 0
         # The late result itself was accepted, on the original worker.
         assert completed[0][0].worker_id == "worker-0"
 
@@ -336,7 +336,7 @@ class TestLeaseFencing:
         )
         submit_singles(engine, cluster, [0, 1])
         completed = drain_items(engine)
-        assert engine.gray_stats.n_suspected == 0
+        assert engine.engine_stats()["n_suspected"] == 0
         assert completed[0][0].worker_id == "worker-0"
         # The accepted late report does define the makespan here.
         assert engine.makespan_hours > 5.0
@@ -349,13 +349,13 @@ class TestLeaseFencing:
         )
         requests = submit_singles(engine, cluster, [0])
         completed = drain_items(engine)
-        assert engine.gray_stats.n_suspected == 1
-        assert engine.crash_stats.n_exhausted == 1
+        assert engine.engine_stats()["n_suspected"] == 1
+        assert engine.counters.counter_value("engine.retries.exhausted") == 1
         sample = completed[0][0]
         assert sample.crashed
         assert sample.value == engine.execution.crash_penalty()
         # The zombie still drained and was rejected.
-        assert engine.gray_stats.n_zombies_rejected == 1
+        assert engine.engine_stats()["n_zombies_rejected"] == 1
 
     def test_zombie_failure_report_is_rejected_too(self):
         """A fenced item that *fails* inside its window pops as a zombie,
@@ -389,11 +389,11 @@ class TestLeaseFencing:
         )
         submit_singles(engine, cluster, [0, 1])
         completed = drain_items(engine)
-        assert engine.gray_stats.n_suspected == 1
-        assert engine.gray_stats.n_zombies_rejected == 1
+        assert engine.engine_stats()["n_suspected"] == 1
+        assert engine.engine_stats()["n_zombies_rejected"] == 1
         # The stale failure was NOT double-counted as a crash recovery:
         # exactly one retry (from the suspicion), one accepted result.
-        assert engine.crash_stats.n_retries == 1
+        assert engine.counters.counter_value("engine.items.retried") == 1
         assert len(completed[0]) == 1
 
     def test_engine_validates_the_lease_timeout(self):
@@ -433,9 +433,9 @@ class TestQuarantine:
         )
         requests = submit_singles(engine, cluster, [0, 1])
         completed = drain_items(engine)
-        assert engine.gray_stats.n_quarantined == 1
-        assert engine.gray_stats.n_quarantine_retries == 1
-        assert engine.gray_stats.n_quarantine_penalized == 0
+        assert engine.engine_stats()["n_quarantined"] == 1
+        assert engine.engine_stats()["n_quarantine_retries"] == 1
+        assert engine.engine_stats()["n_quarantine_penalized"] == 0
         sample = completed[0][0]
         assert math.isfinite(sample.value) and not sample.crashed
         events = EventLog.replay(log_path)
@@ -451,8 +451,8 @@ class TestQuarantine:
         )
         requests = submit_singles(engine, cluster, [0])
         completed = drain_items(engine)
-        assert engine.gray_stats.n_quarantined == 1
-        assert engine.gray_stats.n_quarantine_penalized == 1
+        assert engine.engine_stats()["n_quarantined"] == 1
+        assert engine.engine_stats()["n_quarantine_penalized"] == 1
         sample = completed[0][0]
         assert sample.crashed
         assert sample.value == engine.execution.crash_penalty()
@@ -465,7 +465,7 @@ class TestQuarantine:
         )
         requests = submit_singles(engine, cluster, [0])
         completed = drain_items(engine)
-        assert engine.gray_stats.n_quarantined == 0
+        assert engine.engine_stats()["n_quarantined"] == 0
         wild = completed[0][0]
         assert wild.details.get("corrupt_result") == "wild"
         assert wild.value == pytest.approx(wild.details["true_value"] * 1e9)
@@ -477,7 +477,7 @@ class TestQuarantine:
         )
         submit_singles(engine, cluster, [0])
         completed = drain_items(engine)
-        assert engine.gray_stats.n_quarantined == 1
+        assert engine.engine_stats()["n_quarantined"] == 1
         assert math.isfinite(completed[0][0].value)
         assert completed[0][0].value <= 1e6
 
@@ -715,7 +715,8 @@ class TestExactlyOneResultPerSlot:
             assert all(
                 math.isfinite(samples[0].value) for samples in completed.values()
             )
-        assert engine.gray_stats.n_suspected >= engine.gray_stats.n_zombies_rejected
+        stats = engine.engine_stats()
+        assert stats["n_suspected"] >= stats["n_zombies_rejected"]
         assert engine.loop.n_in_flight == 0
         engine.finalize()
 
@@ -745,17 +746,17 @@ class TestExactlyOneResultPerSlot:
                 WorkRequest(config, 1, [cluster.workers[i % 8]], i)
             )
         drain_items(engine)
-        stats = engine.gray_stats
-        assert stats.n_suspected > 0
-        assert stats.n_quarantined > 0
+        stats = engine.engine_stats()
+        assert stats["n_suspected"] > 0
+        assert stats["n_quarantined"] > 0
         events = EventLog.replay(log_path)
         by_kind = {}
         for event in events:
             by_kind[event["kind"]] = by_kind.get(event["kind"], 0) + 1
-        assert by_kind.get("suspect", 0) == stats.n_suspected
-        assert by_kind.get("lease_fence", 0) == stats.n_suspected
-        assert by_kind.get("zombie_rejected", 0) == stats.n_zombies_rejected
-        assert by_kind.get("quarantined", 0) == stats.n_quarantined
+        assert by_kind.get("suspect", 0) == stats["n_suspected"]
+        assert by_kind.get("lease_fence", 0) == stats["n_suspected"]
+        assert by_kind.get("zombie_rejected", 0) == stats["n_zombies_rejected"]
+        assert by_kind.get("quarantined", 0) == stats["n_quarantined"]
         counters = metrics.as_dict()["counters"]
 
         def counter_value(name):
@@ -765,13 +766,13 @@ class TestExactlyOneResultPerSlot:
                 if key == name or key.startswith(name + "{")
             )
 
-        assert counter_value("engine.items.suspected") == stats.n_suspected
-        assert counter_value("engine.leases.fenced") == stats.n_suspected
+        assert counter_value("engine.items.suspected") == stats["n_suspected"]
+        assert counter_value("engine.leases.fenced") == stats["n_suspected"]
         assert (
             counter_value("engine.items.zombie_rejected")
-            == stats.n_zombies_rejected
+            == stats["n_zombies_rejected"]
         )
-        assert counter_value("engine.samples.quarantined") == stats.n_quarantined
+        assert counter_value("engine.samples.quarantined") == stats["n_quarantined"]
         # No fenced result was evaluated: zombies never consumed measurement
         # RNG, so accepted + quarantined == engine evaluations.
-        assert counter_value("loop.items.zombie") == stats.n_zombies_rejected
+        assert counter_value("loop.items.zombie") == stats["n_zombies_rejected"]

@@ -17,6 +17,9 @@ cancel, suspicion, fence, zombie and quarantine with its item sequence,
 worker and simulated time, so any change in how a slot moves through its
 lifecycle moves the digest.  The digests were recorded before the engine's
 bookkeeping was folded into one slot record, and must not change.
+
+The same studies check the counter table against the event log: each
+``engine_stats`` count equals the number of its event-log records.
 """
 
 import hashlib
@@ -57,6 +60,18 @@ GOLDEN_CHAOS = {
 GOLDEN_DURABLE = "a0ac0ff53354b6c7bffb2fb4b2f2a3113666f74be910487cfffc6ca0bf3a45ae"
 
 
+#: ``engine_stats`` count -> the event-log record kind it counts.
+STAT_EVENTS = {
+    "n_retries": "retry",
+    "n_duplicates_submitted": "speculate",
+    "n_failures": "fail",
+    "n_suspected": "suspect",
+    "n_zombies_rejected": "zombie_rejected",
+    "n_quarantined": "quarantined",
+    "n_items_cancelled": "cancel",
+}
+
+
 def study_digest(log_path, engine_stats):
     digest = hashlib.sha256()
     for event in EventLog.replay(log_path)[1:]:
@@ -85,7 +100,7 @@ def chaos_kwargs(seed):
     )
 
 
-def chaos_study_digest(seed, workdir):
+def run_chaos_study(seed, workdir):
     system = PostgreSQLSystem()
     cluster = Cluster(n_workers=12, seed=seed)
     execution = ExecutionEngine(system, TPCC, seed=seed)
@@ -99,10 +114,10 @@ def chaos_study_digest(seed, workdir):
         event_log=EventLog(log_path),
         **chaos_kwargs(seed),
     ).run()
-    return study_digest(log_path, result.engine_stats)
+    return log_path, result.engine_stats
 
 
-def durable_study_digest(seed, workdir):
+def run_durable_study(seed, workdir):
     """A chaos-durable-50-shaped study: PostgreSQL/TPC-C on 50 D8s_v5,
     batch 20, SMAC, every fault family armed, event log and a checkpoint
     every wave."""
@@ -135,13 +150,43 @@ def durable_study_digest(seed, workdir):
         checkpoint_path=str(workdir / "study.ckpt"),
         checkpoint_every=1,
     ).run()
-    return study_digest(log_path, result.engine_stats)
+    return log_path, result.engine_stats
 
 
-@pytest.mark.parametrize("seed", sorted(GOLDEN_CHAOS))
-def test_chaos_cocktail_trajectory_is_pinned(seed, tmp_path):
-    assert chaos_study_digest(seed, tmp_path) == GOLDEN_CHAOS[seed]
+@pytest.fixture(scope="module", params=sorted(GOLDEN_CHAOS))
+def chaos_study(request, tmp_path_factory):
+    """One chaos cocktail run per seed, shared by the pin and the counts."""
+    seed = request.param
+    return seed, run_chaos_study(seed, tmp_path_factory.mktemp(f"chaos{seed}"))
 
 
-def test_durable_chaos_study_trajectory_is_pinned(tmp_path):
-    assert durable_study_digest(1, tmp_path) == GOLDEN_DURABLE
+@pytest.fixture(scope="module")
+def durable_study(tmp_path_factory):
+    return run_durable_study(1, tmp_path_factory.mktemp("durable"))
+
+
+def assert_counts_match_event_log(log_path, engine_stats):
+    kinds = [event["kind"] for event in EventLog.replay(log_path)]
+    for stat, kind in STAT_EVENTS.items():
+        if stat in engine_stats:
+            assert engine_stats[stat] == kinds.count(kind), (stat, kind)
+
+
+def test_chaos_cocktail_trajectory_is_pinned(chaos_study):
+    seed, (log_path, engine_stats) = chaos_study
+    assert study_digest(log_path, engine_stats) == GOLDEN_CHAOS[seed]
+
+
+def test_chaos_cocktail_counts_match_event_log(chaos_study):
+    _, (log_path, engine_stats) = chaos_study
+    assert_counts_match_event_log(log_path, engine_stats)
+
+
+def test_durable_chaos_study_trajectory_is_pinned(durable_study):
+    assert study_digest(*durable_study) == GOLDEN_DURABLE
+
+
+def test_durable_chaos_study_counts_match_event_log(durable_study):
+    log_path, engine_stats = durable_study
+    assert set(STAT_EVENTS) <= set(engine_stats)
+    assert_counts_match_event_log(log_path, engine_stats)

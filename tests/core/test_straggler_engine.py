@@ -235,10 +235,10 @@ class TestSpeculationMechanics:
             request, samples = engine.next_completed_request()
             completed[id(request)] = samples
         assert len(completed) == 4
-        assert engine.stats.n_stragglers_detected == 1
-        assert engine.stats.n_duplicates_submitted == 1
-        assert engine.stats.n_duplicate_wins == 1
-        assert engine.stats.n_items_cancelled == 1
+        assert engine.engine_stats()["n_stragglers_detected"] == 1
+        assert engine.engine_stats()["n_duplicates_submitted"] == 1
+        assert engine.engine_stats()["n_duplicate_wins"] == 1
+        assert engine.engine_stats()["n_items_cancelled"] == 1
         # The straggling request still yielded exactly one sample, taken on
         # the duplicate's worker.
         straggler_samples = completed[id(requests[0])]
@@ -259,10 +259,10 @@ class TestSpeculationMechanics:
         self._submit_singles(engine, cluster, [0, 1, 2, 3])
         while engine.n_in_flight_requests:
             engine.next_completed_request()
-        assert engine.stats.n_duplicates_submitted == 1
-        assert engine.stats.n_duplicate_wins == 0
-        assert engine.stats.n_duplicate_losses == 1
-        assert engine.stats.n_items_cancelled == 1
+        assert engine.engine_stats()["n_duplicates_submitted"] == 1
+        assert engine.engine_stats()["n_duplicate_wins"] == 0
+        assert engine.engine_stats()["n_duplicate_losses"] == 1
+        assert engine.engine_stats()["n_items_cancelled"] == 1
 
     def test_detection_event_fires_between_completions(self):
         # Four workers, all busy at detection time; the fast three have
@@ -272,9 +272,10 @@ class TestSpeculationMechanics:
         self._submit_singles(engine, cluster, [0, 1, 2, 3])
         while engine.n_in_flight_requests:
             engine.next_completed_request()
-        assert engine.stats.n_stragglers_detected == 1
-        assert engine.stats.n_duplicates_submitted == 1
-        assert engine.stats.n_duplicate_wins + engine.stats.n_duplicate_losses == 1
+        stats = engine.engine_stats()
+        assert stats["n_stragglers_detected"] == 1
+        assert stats["n_duplicates_submitted"] == 1
+        assert stats["n_duplicate_wins"] + stats["n_duplicate_losses"] == 1
 
     def test_multiple_clones_per_item_reconcile_cleanly(self):
         # max_clones_per_item >= 2: an extreme straggler gets a second
@@ -305,10 +306,10 @@ class TestSpeculationMechanics:
             engine.next_completed_request()
             completed += 1
         assert completed == 4
-        assert engine.stats.n_duplicates_submitted == 2
-        assert engine.stats.n_duplicate_wins == 1
-        assert engine.stats.n_duplicate_losses == 1
-        assert engine.stats.n_items_cancelled == 2  # original + slow clone
+        assert engine.engine_stats()["n_duplicates_submitted"] == 2
+        assert engine.engine_stats()["n_duplicate_wins"] == 1
+        assert engine.engine_stats()["n_duplicate_losses"] == 1
+        assert engine.engine_stats()["n_items_cancelled"] == 2  # original + slow clone
         assert engine.loop.n_in_flight == 0
         # No scheduler in this standalone engine, so just check the loop
         # drained and every request produced exactly one sample per slot.

@@ -11,7 +11,9 @@ oldest first).
 import numpy as np
 import pytest
 
-from repro.core import LoopTelemetry, RingBuffer, SpillSummary
+from repro.cloud import Cluster
+from repro.core import ClusterEventLoop, WorkRequest
+from repro.obs.metrics import RingBuffer, SpillSummary
 from repro.faults import SpeculationPolicy, StragglerDetector
 
 
@@ -72,7 +74,7 @@ def test_ring_buffer_window_matches_numpy_on_random_stream():
     window = values[-32:]
     assert np.array_equal(ring.as_array(), window)
     for q in (0.0, 0.25, 0.5, 0.9, 1.0):
-        assert ring.quantile(q) == pytest.approx(float(np.quantile(window, q)))
+        assert np.array_equal(ring.quantile(q), np.quantile(window, q))
     assert ring.spilled.count == 168
     assert ring.spilled.total == pytest.approx(float(values[:-32].sum()))
 
@@ -129,27 +131,42 @@ def test_ring_buffer_rejects_bad_inputs():
         RingBuffer(4).quantile(0.5)
 
 
-def test_loop_telemetry_counters_and_bounded_window():
-    telemetry = LoopTelemetry(capacity=16)
-    for k in range(100):
-        telemetry.record_submit()
-        telemetry.record_complete(finish_hours=float(k), duration_hours=1.0 + k)
-    telemetry.record_fail()
-    telemetry.record_cancel()
-    snapshot = telemetry.snapshot()
-    assert snapshot["n_submitted"] == 100
-    assert snapshot["n_completed"] == 100
-    assert snapshot["n_failed"] == 1
-    assert snapshot["n_cancelled"] == 1
-    # The recent window is capacity-bounded; aggregates cover all events.
-    assert snapshot["recent_window"] == 16
-    assert snapshot["window_capacity"] == 16
-    assert snapshot["durations"]["count"] == 100
-    assert snapshot["durations"]["min"] == 1.0
-    assert snapshot["durations"]["max"] == 100.0
-    assert list(telemetry.recent_completions.as_array()) == [
-        float(k) for k in range(84, 100)
-    ]
+@pytest.mark.parametrize("capacity", [1, 2, 7, 64])
+def test_ring_buffer_quantile_is_numpy_linear_bit_for_bit(capacity):
+    """The partition + lerp quantile equals ``np.quantile`` exactly (no
+    tolerance) on random windows, ties, size-1 and full rings."""
+    rng = np.random.default_rng(capacity)
+    for trial in range(60):
+        ring = RingBuffer(capacity)
+        n_values = int(rng.integers(1, 3 * capacity + 2))
+        if trial % 3 == 0:
+            values = rng.integers(0, 4, size=n_values).astype(float)  # ties
+        else:
+            values = rng.lognormal(0.0, 1.5, size=n_values) * 10.0 ** rng.integers(-3, 4)
+        for value in values:
+            ring.append(float(value))
+        window = ring.as_array()
+        for q in (0.0, 0.5, 0.9, 0.95, 1.0, float(rng.random())):
+            assert np.array_equal(ring.quantile(q), np.quantile(window, q)), (q, window)
+
+
+def test_event_loop_counts_each_event_once_without_observability():
+    """With no registry attached the loop still counts into a private
+    table; histograms and busy hours stay off."""
+    cluster = Cluster(n_workers=3, seed=0)
+    loop = ClusterEventLoop(cluster)
+    request = WorkRequest(config=None, budget=1, vms=[], iteration=0)
+    items = [loop.submit(request, vm, 1.0 + k) for k, vm in enumerate(cluster.workers)]
+    loop.cancel(items[2])
+    loop.next_completion()
+    loop.next_completion()
+    counters = loop.counters.as_dict()
+    assert counters["counters"]["loop.items.submitted"] == 3
+    assert counters["counters"]["loop.items.completed"] == 2
+    assert counters["counters"]["loop.items.cancelled"] == 1
+    assert counters["counters"]["loop.items.failed"] == 0
+    assert counters["histograms"] == {}
+    assert loop.counters.labelled("loop.busy_hours") == {}
 
 
 def test_straggler_detector_history_is_windowed():

@@ -11,7 +11,6 @@ from repro.faults import (
     LognormalTailModel,
     NoFaultModel,
     SpeculationPolicy,
-    SpeculationStats,
     StragglerDetector,
     build_fault_model,
 )
@@ -173,12 +172,6 @@ class TestStragglerDetector:
             SpeculationPolicy(min_history=0)
         with pytest.raises(ValueError):
             SpeculationPolicy(max_clones_per_item=0)
-
-    def test_stats_as_dict(self):
-        stats = SpeculationStats(n_stragglers_detected=2, extra={"note": "x"})
-        payload = stats.as_dict()
-        assert payload["n_stragglers_detected"] == 2
-        assert payload["note"] == "x"
 
 
 class TestFaultModelInterface:

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.cloud import Cluster
+from repro.core import ClusterEventLoop, WorkRequest
 from repro.faults import (
     CompositePartitionModel,
     FlakyReconnectModel,
@@ -9,7 +11,6 @@ from repro.faults import (
     PartitionDecision,
     PartitionModel,
     PartitionOutageModel,
-    PartitionStats,
     StallModel,
 )
 
@@ -135,18 +136,32 @@ class TestCompositePartitionModel:
         assert decision.delayed and decision.delay_hours == 2.0
 
 
-class TestPartitionStats:
-    def test_record_classifies_by_kind(self):
-        stats = PartitionStats()
-        stats.record(PartitionDecision(delayed=True, delay_hours=0.5, kind="stall"))
-        stats.record(
-            PartitionDecision(delayed=True, delay_hours=1.5, kind="partition")
+class TestDelayedReportCounts:
+    def test_loop_counts_delayed_reports_by_kind(self):
+        decisions = iter(
+            [
+                PartitionDecision(delayed=True, delay_hours=0.5, kind="stall"),
+                PartitionDecision(delayed=True, delay_hours=1.5, kind="partition"),
+                PartitionDecision(delayed=True, delay_hours=0.1, kind="flaky"),
+            ]
         )
-        stats.record(PartitionDecision(delayed=True, delay_hours=0.1, kind="flaky"))
-        assert stats.as_dict() == {
-            "n_delayed": 3,
-            "n_stalls": 1,
-            "n_outages": 1,
-            "n_flaky": 1,
-            "total_delay_hours": pytest.approx(2.1),
+
+        class Scripted(PartitionModel):
+            name = "scripted"
+
+            def decide(self, context):
+                return next(decisions)
+
+        cluster = Cluster(n_workers=3, seed=0)
+        loop = ClusterEventLoop(cluster, partition_model=Scripted(seed=0))
+        request = WorkRequest(config=None, budget=1, vms=[], iteration=0)
+        for vm in cluster.workers:
+            loop.submit(request, vm, 1.0)
+        counters = loop.counters
+        assert counters.total("loop.reports.delayed") == 3
+        assert counters.labelled("loop.reports.delayed") == {
+            "loop.reports.delayed{kind=flaky}": 1.0,
+            "loop.reports.delayed{kind=partition}": 1.0,
+            "loop.reports.delayed{kind=stall}": 1.0,
         }
+        assert counters.total("loop.reports.delay_hours") == pytest.approx(2.1)

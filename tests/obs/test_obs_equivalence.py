@@ -131,3 +131,23 @@ def test_registry_is_shared_across_the_whole_stack():
     # Queue waits and durations were observed as histograms.
     assert registry.rollup("loop.queue_wait_hours").count > 0
     assert registry.rollup("loop.duration_hours").count > 0
+
+
+def test_a_registry_shared_by_two_studies_reports_each_studys_engine_stats(tmp_path):
+    """The engine counts into the attached registry, which accumulates
+    across studies; ``engine_stats`` still reports one study's counts."""
+    extra = dict(ARMS["crash-retry"], **ARMS["faults-speculation"])
+    _, _, ref_result = run_study(tmp_path / "ref.jsonl", False, **extra)
+    shared = MetricsRegistry()
+    results = [
+        TuningLoop(
+            make_sampler(), max_samples=30, batch_size=5, metrics=shared, **extra
+        ).run()
+        for _ in range(2)
+    ]
+    assert ref_result.engine_stats["n_failures"] > 0
+    for result in results:
+        assert result.engine_stats == ref_result.engine_stats
+    assert shared.counter_value("engine.items.retried") == 2 * (
+        ref_result.engine_stats["n_retries"]
+    )

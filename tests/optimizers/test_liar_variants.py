@@ -1,16 +1,14 @@
-"""Tests for the constant-liar strategy variants (CL-min / CL-mean / CL-max).
+"""Tests for the liar strategies behind ``Optimizer.ask_batch(liar=...)``.
 
-Satellite of the straggler PR, closing the ROADMAP open item: the fantasy
-recorded behind ``Optimizer.ask_batch(liar=...)`` must match the chosen
-statistic of the costs seen so far, retraction must work identically for
-every variant, and the default must remain the legacy CL-min bit-for-bit.
+Both strategies record the CL-min fantasy (the best cost seen so far);
+retraction must work identically for each, and the default must remain the
+legacy CL-min bit-for-bit.
 """
 
-import numpy as np
 import pytest
 
 from repro.configspace import ConfigurationSpace, FloatParameter
-from repro.optimizers import LIAR_STRATEGIES, SMACOptimizer
+from repro.optimizers import LIAR_STRATEGIES
 from repro.optimizers.base import Optimizer
 
 
@@ -40,11 +38,9 @@ def warm_optimizer(costs=(3.0, 1.0, 2.0)):
 
 class TestLiarStatistics:
     def test_known_strategies(self):
-        assert LIAR_STRATEGIES == ("min", "mean", "max", "posterior")
+        assert LIAR_STRATEGIES == ("min", "posterior")
 
-    @pytest.mark.parametrize(
-        "liar, expected", [("min", 1.0), ("mean", 2.0), ("max", 3.0)]
-    )
+    @pytest.mark.parametrize("liar, expected", [("min", 1.0)])
     def test_fantasy_matches_the_chosen_statistic(self, liar, expected):
         opt = warm_optimizer()
         fantasy = opt.fantasize(make_space(seed=9).sample(), liar=liar)
@@ -78,12 +74,6 @@ class TestLiarStatistics:
             fantasy = opt.fantasize(opt.ask(), liar=liar)
             assert fantasy.cost == 0.0
 
-    def test_statistic_over_pending_lies_when_no_real_observations(self):
-        opt = SequentialOptimizer(make_space(), seed=0)
-        opt.fantasize(opt.ask(), liar="min")  # lie 0.0
-        second = opt.fantasize(opt.ask(), liar="mean")
-        assert second.cost == 0.0  # mean over the pending pool
-
 
 class TestRetractionPerVariant:
     @pytest.mark.parametrize("liar", LIAR_STRATEGIES)
@@ -108,29 +98,6 @@ class TestRetractionPerVariant:
         opt = warm_optimizer()
         config = make_space(seed=9).sample()
         opt.fantasize(config, liar="min")
-        opt.fantasize(config, liar="max")
+        opt.fantasize(config, liar="posterior")
         opt.tell(config, 0.25)
         assert opt.n_pending == 0
-
-
-class TestLiarSpreadsDiffer:
-    def test_mean_and_max_lies_are_less_aggressive(self):
-        # CL-min pulls the fantasy to the optimum; CL-max leaves the pending
-        # point looking poor.  The surrogate's training targets must reflect
-        # that ordering.
-        space = make_space()
-        results = {}
-        for liar in LIAR_STRATEGIES:
-            opt = SMACOptimizer(
-                space, seed=1, n_initial_design=2, n_candidates=40,
-                n_local=10, n_trees=4,
-            )
-            rng = np.random.default_rng(1)
-            for _ in range(5):
-                config = space.sample(rng)
-                opt.tell(config, float(config["x"] ** 2 + config["y"]))
-            opt.ask_batch(2, liar=liar)
-            lies = [obs.cost for obs in opt.pending_fantasies]
-            results[liar] = lies
-        assert max(results["min"]) <= min(results["mean"])
-        assert max(results["mean"]) <= min(results["max"])

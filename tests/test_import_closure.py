@@ -1,10 +1,12 @@
-"""A SMAC study's import closure holds no scipy and no test machinery.
+"""A study's import closure holds no scipy, no test machinery, no numpy.ma.
 
 Importing ``scipy.special`` (which pulls in ``numpy.testing`` and
 ``unittest``) once cost about half of a study's start-up, for a single
-normal-CDF call in expected improvement.  The runtime needs numpy only;
-this guard runs a short SMAC study in a fresh interpreter and fails if any
-of those modules is loaded again.
+normal-CDF call in expected improvement, and ``np.quantile`` in the
+straggler detector imported ``numpy.ma`` in the middle of every study with
+speculation armed.  The runtime needs numpy's core only; each probe runs a
+short study in a fresh interpreter and fails if any of those modules is
+loaded again.
 """
 
 import json
@@ -14,9 +16,11 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-FORBIDDEN_PREFIXES = ("scipy", "unittest", "numpy.testing")
+FORBIDDEN_PREFIXES = ("scipy", "unittest", "numpy.testing", "numpy.ma")
 
 _PROBE = textwrap.dedent(
     """
@@ -29,6 +33,7 @@ _PROBE = textwrap.dedent(
     import repro.optimizers
     from repro.cloud import Cluster
     from repro.core import ExecutionEngine, TunaSampler, TuningLoop
+    from repro.faults import SpeculationPolicy
     from repro.optimizers import build_optimizer
     from repro.systems import PostgreSQLSystem
     from repro.workloads import TPCC
@@ -43,17 +48,29 @@ _PROBE = textwrap.dedent(
         Cluster(n_workers=10, seed=3),
         seed=3,
     )
-    TuningLoop(sampler, max_samples=16, batch_size=2).run()
+    TuningLoop(sampler, max_samples={max_samples}, {loop_kwargs}).run()
     print(json.dumps(sorted(sys.modules)))
     """
 )
 
+#: Probe name -> (sample budget, extra ``TuningLoop`` keyword arguments).
+PROBES = {
+    "smac-batch-2": (16, "batch_size=2"),
+    "smac-batch-4-speculation": (40, "batch_size=4, speculation=SpeculationPolicy()"),
+}
 
-def test_smac_study_imports_no_scipy():
+
+@pytest.mark.parametrize("probe", sorted(PROBES))
+def test_study_imports_no_scipy_test_machinery_or_numpy_ma(probe):
+    max_samples, loop_kwargs = PROBES[probe]
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE],
+        [
+            sys.executable,
+            "-c",
+            _PROBE.format(max_samples=max_samples, loop_kwargs=loop_kwargs),
+        ],
         capture_output=True,
         text=True,
         env=env,
