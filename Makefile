@@ -78,7 +78,7 @@ bench-compare:
 	python tools/bench_compare.py
 
 loc:
-	python tools/src_lines.py --count core/async_engine.py --count core/async_engine.py:AsyncExecutionEngine
+	python tools/src_lines.py
 
 bench:
 	PYTHONPATH=src python -m pytest benchmarks -q

@@ -25,7 +25,7 @@ import math
 from bench_artifacts import write_bench_json
 
 from repro.experiments import run_graydeg_study
-from repro.experiments.graydeg_study import DEFAULT_GRAY_REGIME
+from repro.experiments.makespan_study import DEFAULT_GRAY_REGIME
 
 #: Seed panel for the retention gate (measured retentions 0.64-0.89 each;
 #: geomean ~0.74, so the 0.7 floor has margin while the regime stays heavy
@@ -47,8 +47,8 @@ def test_bench_graydeg(once):
     totals = {"n_delayed": 0, "n_suspected": 0, "n_zombies_rejected": 0,
               "n_quarantined": 0}
     for seed, comparison in zip(SEEDS, comparisons):
-        free, rec = comparison.fault_free, comparison.recovered
-        stats = rec.stats
+        free, rec = comparison.reference, comparison.treated
+        stats = rec.engine_stats
         for key in totals:
             totals[key] += stats.get(key, 0)
         rows.append(
@@ -56,7 +56,7 @@ def test_bench_graydeg(once):
                 "seed": seed,
                 "fault_free_makespan_hours": free.makespan_hours,
                 "recovered_makespan_hours": rec.makespan_hours,
-                "retention": comparison.makespan_retention,
+                "retention": comparison.makespan_ratio,
                 "n_samples": rec.n_samples,
                 "n_delayed": stats.get("n_delayed", 0),
                 "n_suspected": stats.get("n_suspected", 0),
@@ -67,7 +67,7 @@ def test_bench_graydeg(once):
         print(
             f"  seed {seed:>3}: {free.makespan_hours:6.3f} h -> "
             f"{rec.makespan_hours:6.3f} h  "
-            f"({comparison.makespan_retention:5.1%} retained, "
+            f"({comparison.makespan_ratio:5.1%} retained, "
             f"{stats.get('n_delayed', 0)} delayed / "
             f"{stats.get('n_suspected', 0)} suspected / "
             f"{stats.get('n_zombies_rejected', 0)} zombies rejected / "
@@ -75,7 +75,7 @@ def test_bench_graydeg(once):
             f"{rec.n_samples} accepted samples)"
         )
     geomean = math.exp(
-        sum(math.log(c.makespan_retention) for c in comparisons)
+        sum(math.log(c.makespan_ratio) for c in comparisons)
         / len(comparisons)
     )
     print(
@@ -104,9 +104,9 @@ def test_bench_graydeg(once):
     for comparison in comparisons:
         # Equal accepted-sample budget: both arms ran to the same stopping
         # criterion (the watermark may overshoot by a submitted request).
-        assert comparison.fault_free.n_samples >= MAX_SAMPLES
-        assert comparison.recovered.n_samples >= MAX_SAMPLES
-        assert comparison.recovered.stats.get("n_delayed", 0) > 0, (
+        assert comparison.reference.n_samples >= MAX_SAMPLES
+        assert comparison.treated.n_samples >= MAX_SAMPLES
+        assert comparison.treated.engine_stats.get("n_delayed", 0) > 0, (
             "the default gray regime should delay at least one report"
         )
     # The panel as a whole exercised every gray path.

@@ -124,7 +124,7 @@ def test_bench_heterogeneous_placement(once):
 
     result = once(run)
     comparison = result["comparison"]
-    aware, fifo = comparison.heterogeneity, comparison.fifo
+    aware, fifo = comparison.treated, comparison.reference
 
     print("\nHeterogeneous fleet placement (10 workers, 3 regions, 3 SKUs)")
     for summary in (aware, fifo):
@@ -133,11 +133,11 @@ def test_bench_heterogeneous_placement(once):
             for sku, count in sorted(summary.samples_per_sku.items())
         )
         print(
-            f"  {summary.placement:>14}: {summary.n_samples:>3} samples"
+            f"  {summary.label:>14}: {summary.n_samples:>3} samples"
             f" -> {summary.makespan_hours:6.3f} simulated hours  ({per_sku})"
         )
     print(
-        f"  makespan speedup over FIFO: {comparison.makespan_speedup:.2f}x"
+        f"  makespan speedup over FIFO: {comparison.makespan_ratio:.2f}x"
         f" (target {SPEEDUP_TARGET}x)"
     )
     print(f"  one-SKU fleet reduces to homogeneous path: {result['reduction_identical']}")
@@ -151,7 +151,7 @@ def test_bench_heterogeneous_placement(once):
     write_bench_json(
         "heterogeneous",
         {
-            "makespan_speedup": comparison.makespan_speedup,
+            "makespan_speedup": comparison.makespan_ratio,
             "speedup_target": SPEEDUP_TARGET,
             "heterogeneity_makespan_hours": aware.makespan_hours,
             "fifo_makespan_hours": fifo.makespan_hours,
@@ -180,8 +180,8 @@ def test_bench_heterogeneous_placement(once):
     )
     assert aware.n_samples >= MAX_SAMPLES
     assert fifo.n_samples >= MAX_SAMPLES
-    assert comparison.makespan_speedup >= SPEEDUP_TARGET, (
-        f"heterogeneity-aware placement only {comparison.makespan_speedup:.2f}x "
+    assert comparison.makespan_ratio >= SPEEDUP_TARGET, (
+        f"heterogeneity-aware placement only {comparison.makespan_ratio:.2f}x "
         f"faster than naive FIFO placement (target {SPEEDUP_TARGET}x)"
     )
     assert slope <= SCALING_SLOPE_MAX, (

@@ -43,7 +43,7 @@ from repro.cloud import Cluster
 from repro.core import ExecutionEngine, TunaSampler, TuningLoop
 from repro.core.eventlog import EventLog
 from repro.experiments import run_resilience_study
-from repro.experiments.resilience_study import DEFAULT_CRASH_REGIME
+from repro.experiments.makespan_study import DEFAULT_CRASH_REGIME
 from repro.optimizers import RandomSearchOptimizer
 from repro.systems import PostgreSQLSystem
 from repro.workloads import TPCC
@@ -178,14 +178,14 @@ def test_bench_resilience(once):
     print("\nCrash recovery under transient failures (10 workers, batch 8)")
     rows = []
     for seed, comparison in zip(SEEDS, comparisons):
-        free, rec = comparison.fault_free, comparison.recovered
-        stats = rec.stats
+        free, rec = comparison.reference, comparison.treated
+        stats = rec.engine_stats
         rows.append(
             {
                 "seed": seed,
                 "fault_free_makespan_hours": free.makespan_hours,
                 "recovered_makespan_hours": rec.makespan_hours,
-                "retention": comparison.makespan_retention,
+                "retention": comparison.makespan_ratio,
                 "n_samples": rec.n_samples,
                 "n_failures": stats.get("n_failures", 0),
                 "n_retries": stats.get("n_retries", 0),
@@ -195,14 +195,14 @@ def test_bench_resilience(once):
         print(
             f"  seed {seed:>3}: {free.makespan_hours:6.3f} h -> "
             f"{rec.makespan_hours:6.3f} h  "
-            f"({comparison.makespan_retention:5.1%} retained, "
+            f"({comparison.makespan_ratio:5.1%} retained, "
             f"{stats.get('n_failures', 0)} failures / "
             f"{stats.get('n_retries', 0)} retries / "
             f"{stats.get('n_exhausted', 0)} exhausted, "
             f"{rec.n_samples} accepted samples)"
         )
     geomean = math.exp(
-        sum(math.log(c.makespan_retention) for c in comparisons) / len(comparisons)
+        sum(math.log(c.makespan_ratio) for c in comparisons) / len(comparisons)
     )
     print(
         f"  geomean makespan retention: {geomean:.1%} "
@@ -252,9 +252,9 @@ def test_bench_resilience(once):
     for comparison in comparisons:
         # Equal accepted-sample budget: both arms ran to the same stopping
         # criterion (the watermark may overshoot by a submitted request).
-        assert comparison.fault_free.n_samples >= MAX_SAMPLES
-        assert comparison.recovered.n_samples >= MAX_SAMPLES
-        assert comparison.recovered.stats.get("n_failures", 0) > 0, (
+        assert comparison.reference.n_samples >= MAX_SAMPLES
+        assert comparison.treated.n_samples >= MAX_SAMPLES
+        assert comparison.treated.engine_stats.get("n_failures", 0) > 0, (
             "the default crash regime should inject at least one failure"
         )
     assert geomean >= RETENTION_FLOOR, (

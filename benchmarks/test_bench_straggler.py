@@ -28,7 +28,7 @@ from bench_artifacts import write_bench_json
 from repro.cloud import Cluster
 from repro.core import ExecutionEngine, TunaSampler, TuningLoop
 from repro.experiments import run_straggler_study
-from repro.experiments.straggler_study import DEFAULT_HEAVY_TAIL
+from repro.experiments.makespan_study import DEFAULT_HEAVY_TAIL
 from repro.optimizers import RandomSearchOptimizer
 from repro.systems import PostgreSQLSystem
 from repro.workloads import TPCC
@@ -83,14 +83,14 @@ def test_bench_straggler_speculation(once):
     print(f"  'none' fault model reproduces uninjected run: {result['equivalent']}")
     rows = []
     for seed, comparison in zip(SEEDS, comparisons):
-        base, spec = comparison.baseline, comparison.speculative
-        stats = spec.stats
+        base, spec = comparison.reference, comparison.treated
+        stats = spec.engine_stats
         rows.append(
             {
                 "seed": seed,
                 "baseline_makespan_hours": base.makespan_hours,
                 "speculative_makespan_hours": spec.makespan_hours,
-                "speedup": comparison.makespan_speedup,
+                "speedup": comparison.makespan_ratio,
                 "n_samples": spec.n_samples,
                 "n_stragglers_detected": stats.get("n_stragglers_detected", 0),
                 "n_duplicates_submitted": stats.get("n_duplicates_submitted", 0),
@@ -99,13 +99,13 @@ def test_bench_straggler_speculation(once):
         )
         print(
             f"  seed {seed:>3}: {base.makespan_hours:6.3f} h -> "
-            f"{spec.makespan_hours:6.3f} h  ({comparison.makespan_speedup:4.2f}x, "
+            f"{spec.makespan_hours:6.3f} h  ({comparison.makespan_ratio:4.2f}x, "
             f"{stats.get('n_duplicates_submitted', 0)} duplicates / "
             f"{stats.get('n_duplicate_wins', 0)} wins, "
             f"{spec.n_samples} accepted samples)"
         )
     geomean = math.exp(
-        sum(math.log(c.makespan_speedup) for c in comparisons) / len(comparisons)
+        sum(math.log(c.makespan_ratio) for c in comparisons) / len(comparisons)
     )
     print(f"  geomean makespan speedup: {geomean:.2f}x (target {SPEEDUP_TARGET}x)")
 
@@ -132,9 +132,9 @@ def test_bench_straggler_speculation(once):
         "trajectory bit-for-bit under the same seeds"
     )
     for comparison in comparisons:
-        assert comparison.baseline.n_samples >= MAX_SAMPLES
-        assert comparison.speculative.n_samples >= MAX_SAMPLES
-        assert comparison.speculative.stats.get("n_duplicates_submitted", 0) > 0, (
+        assert comparison.reference.n_samples >= MAX_SAMPLES
+        assert comparison.treated.n_samples >= MAX_SAMPLES
+        assert comparison.treated.engine_stats.get("n_duplicates_submitted", 0) > 0, (
             "the heavy-tail model should trigger at least one speculation"
         )
     assert geomean >= SPEEDUP_TARGET, (

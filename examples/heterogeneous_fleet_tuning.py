@@ -23,7 +23,7 @@ is exactly what heterogeneity-aware placement buys.
 Run with:  python examples/heterogeneous_fleet_tuning.py
 """
 
-from repro.experiments import format_mixed_fleet_report, run_mixed_fleet_study
+from repro.experiments import format_makespan_report, run_mixed_fleet_study
 
 SAMPLE_BUDGET = 80
 SEED = 23
@@ -31,9 +31,9 @@ SEED = 23
 
 def main() -> None:
     comparison = run_mixed_fleet_study(max_samples=SAMPLE_BUDGET, seed=SEED)
-    print(format_mixed_fleet_report(comparison))
+    print(format_makespan_report(comparison))
     print()
-    aware = comparison.heterogeneity
+    aware = comparison.treated
     print(
         "fast workers soak up the queue: "
         f"{aware.samples_per_sku.get('Standard_D16s_v5', 0)} of "

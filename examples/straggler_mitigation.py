@@ -17,16 +17,16 @@ sees exactly one result per sample either way.
 Run with:  python examples/straggler_mitigation.py
 """
 
-from repro.experiments import format_straggler_report, run_straggler_study
+from repro.experiments import format_makespan_report, run_straggler_study
 
 SEED = 90
 
 
 def main() -> None:
     comparison = run_straggler_study(seed=SEED)
-    print(format_straggler_report(comparison))
+    print(format_makespan_report(comparison))
     print()
-    stats = comparison.speculative.stats
+    stats = comparison.treated.engine_stats
     print(
         "first-finish-wins bookkeeping: "
         f"{stats.get('n_duplicates_submitted', 0)} duplicates launched, "

@@ -1,12 +1,13 @@
 """Experiment harness: one module per group of paper figures.
 
 Every function here is deterministic given a seed and returns a plain
-dataclass of numbers; the benchmark suite (``benchmarks/``) calls them with
-reduced scale and prints the same rows/series the paper reports, and
-``EXPERIMENTS.md`` records paper-vs-measured values for each figure.
+dataclass of numbers.  The benchmark suite (``benchmarks/``) calls them at
+reduced scale, prints the same rows/series the paper reports and asserts
+their shape; the A/B makespan studies' benchmarks also write
+``BENCH_*.json`` artifacts, diffed against ``benchmarks/baselines/``.
 
 ==========================  =====================================
-module                      paper figures
+module                      paper figures or study
 ==========================  =====================================
 ``noise_convergence``       Fig. 2
 ``cloud_study``             Figs. 3, 4, 6 and Table 1
@@ -14,20 +15,12 @@ module                      paper figures
 ``generalization``          Figs. 11a-d, 12, 13, 14, 15
 ``equal_cost``              Figs. 16, 17
 ``component_analysis``      Figs. 18, 19, 20
-``straggler_study``         straggler mitigation (fault injection)
-``resilience_study``        crash-fault recovery (fail-stop injection)
-``graydeg_study``           gray-failure tolerance (leases/quarantine)
+``makespan_study``          A/B makespans: speculation, crash and
+                            gray-failure recovery, mixed-fleet placement
 ==========================  =====================================
 """
 
-from repro.experiments.cloud_study import (
-    CloudStudySummary,
-    MixedFleetComparison,
-    MixedFleetSummary,
-    format_mixed_fleet_report,
-    run_cloud_study,
-    run_mixed_fleet_study,
-)
+from repro.experiments.cloud_study import CloudStudySummary, run_cloud_study
 from repro.experiments.component_analysis import (
     AblationResult,
     run_gp_optimizer_comparison,
@@ -44,27 +37,18 @@ from repro.experiments.generalization import (
     ComparisonResult,
     compare_samplers,
 )
-from repro.experiments.graydeg_study import (
-    GrayArm,
-    GrayComparison,
-    format_graydeg_report,
+from repro.experiments.makespan_study import (
+    MakespanArm,
+    MakespanComparison,
+    format_makespan_report,
     run_graydeg_study,
+    run_mixed_fleet_study,
+    run_resilience_study,
+    run_straggler_study,
 )
 from repro.experiments.noise_convergence import (
     NoiseConvergenceResult,
     run_noise_convergence,
-)
-from repro.experiments.resilience_study import (
-    ResilienceArm,
-    ResilienceComparison,
-    format_resilience_report,
-    run_resilience_study,
-)
-from repro.experiments.straggler_study import (
-    StragglerArm,
-    StragglerComparison,
-    format_straggler_report,
-    run_straggler_study,
 )
 from repro.experiments.unstable_configs import (
     DetectionCurve,
@@ -82,23 +66,14 @@ __all__ = [
     "ComparisonResult",
     "DetectionCurve",
     "EqualCostResult",
-    "GrayArm",
-    "GrayComparison",
-    "MixedFleetComparison",
-    "MixedFleetSummary",
+    "MakespanArm",
+    "MakespanComparison",
     "NoiseConvergenceResult",
     "RelativeRangeDistribution",
-    "ResilienceArm",
-    "ResilienceComparison",
-    "StragglerArm",
-    "StragglerComparison",
     "TransferabilityResult",
     "compare_samplers",
-    "format_graydeg_report",
-    "format_resilience_report",
-    "format_straggler_report",
     "detection_probability_curve",
-    "format_mixed_fleet_report",
+    "format_makespan_report",
     "relative_range_distribution",
     "run_cloud_study",
     "run_mixed_fleet_study",

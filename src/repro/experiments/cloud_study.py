@@ -1,6 +1,4 @@
-"""Figs. 3, 4, 6 and Table 1 — the longitudinal cloud measurement study (§3.2),
-plus the heterogeneous mixed-fleet tuning scenario built on its per-region /
-per-SKU noise profiles."""
+"""Figs. 3, 4, 6 and Table 1 — the longitudinal cloud measurement study (§3.2)."""
 
 from __future__ import annotations
 
@@ -9,15 +7,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.cloud.cluster import Cluster
-from repro.cloud.fleet import FleetSpec
 from repro.cloud.study import LongitudinalStudy, StudyResult
-from repro.core.execution import ExecutionEngine
-from repro.core.samplers import TunaSampler
-from repro.core.tuner import TuningLoop, TuningResult
-from repro.optimizers import build_optimizer
-from repro.systems import get_system
-from repro.workloads import get_workload
 
 
 #: Paper-reported coefficients of variation for Fig. 4 (non-burstable D8s_v5).
@@ -127,140 +117,4 @@ def format_report(summary: CloudStudySummary) -> str:
         "Study scale (Table 1 last row analogue): "
         + ", ".join(f"{k}={v:.0f}" for k, v in summary.study.summary_table().items()),
     ]
-    return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# Heterogeneous mixed-fleet tuning scenario
-# ---------------------------------------------------------------------------
-
-#: Default mixed fleet: current-generation large SKUs in the quiet region,
-#: reference SKUs in the noisier one, previous-generation SKUs in the region
-#: with the long tail of slow hosts (§6.2).  10 workers, like the paper.
-DEFAULT_MIXED_FLEET: Tuple[Tuple[str, str, int], ...] = (
-    ("westus2", "Standard_D16s_v5", 3),
-    ("eastus", "Standard_D8s_v5", 4),
-    ("centralus", "Standard_D8s_v4", 3),
-)
-
-
-@dataclass
-class MixedFleetSummary:
-    """One placement policy's run over the mixed fleet."""
-
-    placement: str
-    result: TuningResult
-    makespan_hours: float
-    n_samples: int
-    samples_per_sku: Dict[str, int] = field(default_factory=dict)
-    samples_per_region: Dict[str, int] = field(default_factory=dict)
-
-
-@dataclass
-class MixedFleetComparison:
-    """Heterogeneity-aware vs naive FIFO placement on the same mixed fleet."""
-
-    fleet: Tuple[Tuple[str, str, int], ...]
-    heterogeneity: MixedFleetSummary
-    fifo: MixedFleetSummary
-
-    @property
-    def makespan_speedup(self) -> float:
-        """FIFO makespan over heterogeneity-aware makespan (>1 = aware wins)."""
-        return self.fifo.makespan_hours / self.heterogeneity.makespan_hours
-
-
-def _run_mixed_fleet(
-    placement: str,
-    fleet_groups: Sequence[Tuple[str, str, int]],
-    system_name: str,
-    workload_name: str,
-    optimizer_name: str,
-    max_samples: int,
-    batch_size: int,
-    seed: int,
-) -> MixedFleetSummary:
-    system = get_system(system_name)
-    workload = get_workload(workload_name)
-    cluster = Cluster(seed=seed, fleet=FleetSpec.of(fleet_groups))
-    execution = ExecutionEngine(system, workload, seed=seed)
-    optimizer = build_optimizer(optimizer_name, system.knob_space, seed=seed)
-    sampler = TunaSampler(
-        optimizer, execution, cluster, seed=seed, placement=placement
-    )
-    result = TuningLoop(
-        sampler, max_samples=max_samples, batch_size=batch_size
-    ).run()
-
-    per_sku: Dict[str, int] = {}
-    per_region: Dict[str, int] = {}
-    for sample in sampler.datastore.all_samples():
-        vm = cluster.worker(sample.worker_id)
-        per_sku[vm.sku.name] = per_sku.get(vm.sku.name, 0) + 1
-        per_region[vm.region.name] = per_region.get(vm.region.name, 0) + 1
-    return MixedFleetSummary(
-        placement=placement,
-        result=result,
-        makespan_hours=result.wall_clock_hours,
-        n_samples=result.n_samples,
-        samples_per_sku=per_sku,
-        samples_per_region=per_region,
-    )
-
-
-def run_mixed_fleet_study(
-    fleet_groups: Sequence[Tuple[str, str, int]] = DEFAULT_MIXED_FLEET,
-    system_name: str = "postgres",
-    workload_name: str = "tpcc",
-    optimizer_name: str = "random",
-    max_samples: int = 80,
-    batch_size: int = 10,
-    seed: int = 23,
-) -> MixedFleetComparison:
-    """Tune over a heterogeneous multi-region fleet, both placement policies.
-
-    The same seeds, fleet, optimizer and sample budget are used for both
-    runs; only the scheduler's placement policy differs, so the makespan gap
-    is attributable to heterogeneity-aware placement (prefer free fast
-    workers, spread samples across regions) versus naive round-robin.
-    """
-    kwargs = dict(
-        fleet_groups=fleet_groups,
-        system_name=system_name,
-        workload_name=workload_name,
-        optimizer_name=optimizer_name,
-        max_samples=max_samples,
-        batch_size=batch_size,
-        seed=seed,
-    )
-    return MixedFleetComparison(
-        fleet=tuple(tuple(group) for group in fleet_groups),
-        heterogeneity=_run_mixed_fleet("heterogeneity", **kwargs),
-        fifo=_run_mixed_fleet("fifo", **kwargs),
-    )
-
-
-def format_mixed_fleet_report(comparison: MixedFleetComparison) -> str:
-    """Text report for the mixed-fleet placement comparison."""
-    lines = ["Heterogeneous mixed-region fleet — placement comparison", ""]
-    lines.append("fleet: " + ", ".join(
-        f"{count}x {sku}@{region}" for region, sku, count in comparison.fleet
-    ))
-    lines.append("")
-    lines.append(
-        f"{'placement':>14} {'samples':>8} {'makespan (h)':>13}  samples per SKU"
-    )
-    for summary in (comparison.heterogeneity, comparison.fifo):
-        per_sku = ", ".join(
-            f"{sku}={count}" for sku, count in sorted(summary.samples_per_sku.items())
-        )
-        lines.append(
-            f"{summary.placement:>14} {summary.n_samples:>8} "
-            f"{summary.makespan_hours:>13.3f}  {per_sku}"
-        )
-    lines.append("")
-    lines.append(
-        f"makespan speedup of heterogeneity-aware over FIFO: "
-        f"{comparison.makespan_speedup:.2f}x"
-    )
     return "\n".join(lines)

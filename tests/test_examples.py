@@ -1,9 +1,10 @@
-"""Smoke runs of the example scripts that drive the public fault API.
+"""Smoke runs of the example scripts that drive the public study API.
 
-``examples/fault_tolerant_tuning.py`` (crash injection + recovery) and
+``examples/fault_tolerant_tuning.py`` (crash injection + recovery),
 ``examples/straggler_mitigation.py`` (heavy-tail stragglers + speculation)
-are the fault subsystem's end-user callers; each must run to completion
-(about a second apiece) with exit code 0.
+and ``examples/heterogeneous_fleet_tuning.py`` (mixed-fleet placement) are
+the end-user callers of the fault subsystem and the A/B makespan studies;
+each must run to completion (about a second apiece) with exit code 0.
 """
 
 import os
@@ -17,7 +18,12 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize(
-    "script", ["fault_tolerant_tuning.py", "straggler_mitigation.py"]
+    "script",
+    [
+        "fault_tolerant_tuning.py",
+        "straggler_mitigation.py",
+        "heterogeneous_fleet_tuning.py",
+    ],
 )
 def test_fault_example_runs(script):
     env = dict(os.environ)

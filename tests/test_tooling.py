@@ -333,7 +333,8 @@ def test_e2e_bench_is_wired_into_make_and_ci():
 def test_src_lines_counts_code_only_and_reports_in_ci():
     """`make loc` runs tools/src_lines.py, which counts non-blank,
     non-comment, non-docstring lines; the CI lint job appends its table to
-    the job summary without gating on it."""
+    the job summary without gating on it.  Both print the rows of one list,
+    ``ROWS``, so neither passes rows of its own."""
     spec = importlib.util.spec_from_file_location(
         "src_lines", os.path.join(TOOLS_DIR, "src_lines.py")
     )
@@ -359,9 +360,11 @@ def test_src_lines_counts_code_only_and_reports_in_ci():
 
     with open(os.path.join(REPO_ROOT, "Makefile")) as fh:
         makefile = fh.read()
-    assert re.search(r"^loc:\n\tpython tools/src_lines.py", makefile, re.MULTILINE)
+    assert re.search(r"^loc:\n\tpython tools/src_lines.py\n", makefile, re.MULTILINE)
     with open(os.path.join(REPO_ROOT, ".github", "workflows", "ci.yml")) as fh:
         ci = fh.read()
     lint_job = ci[ci.index("\n  lint:"):ci.index("\n  test:")]
     assert "tools/src_lines.py --markdown" in lint_job
     assert "GITHUB_STEP_SUMMARY" in lint_job
+    assert "--count" not in lint_job
+    assert "experiments/makespan_study.py" in src_lines.ROWS
