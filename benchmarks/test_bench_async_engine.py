@@ -3,15 +3,16 @@
 Like the surrogate-throughput benchmark, this file guards a *performance
 property* of the reproduction rather than a figure of the paper: with every
 worker VM on its own timeline, a 10-worker asynchronous TUNA run must reach
-the sequential loop's sample count in at least ``SPEEDUP_TARGET`` times less
-simulated wall-clock.  The sequential loop charges one evaluation of
-wall-clock per iteration (most iterations keep 1-3 of the 10 workers busy);
-the event loop instead overlaps requests, so the run's cost is the makespan
-of the busiest worker.
+the lockstep (``batch_size=1``) run's sample count in at least
+``SPEEDUP_TARGET`` times less simulated wall-clock.  Lockstep charges one
+evaluation of wall-clock per request (most requests keep 1-3 of the 10
+workers busy); a batch of 10 instead overlaps requests, so the run's cost is
+the makespan of the busiest worker.
 
 The benchmark also re-asserts the equivalence gate at reduced scale: batch
-size 1 is the synchronous degenerate mode and must reproduce the sequential
-trajectory bit-for-bit under the same seeds.
+size 1 must reproduce the sequential reference loop
+(``run_sequential`` in ``tests/core/sequential_oracle.py``) bit-for-bit
+under the same seeds.
 
 All times are *simulated* hours — the numbers are deterministic for a fixed
 seed, so the asserted speedup is exact, not a flaky wall-clock measurement.
@@ -20,6 +21,9 @@ Run directly with::
 
     PYTHONPATH=src python -m pytest benchmarks/test_bench_async_engine.py -q -s
 """
+
+import importlib.util
+from pathlib import Path
 
 from bench_artifacts import write_bench_json
 
@@ -37,6 +41,20 @@ SEED = 23
 #: wastes 9 of 10 workers) dominant — the regime the async engine targets.
 ETA = 4.0
 SPEEDUP_TARGET = 5.0
+
+
+def _load_run_sequential():
+    """``run_sequential`` from the test suite's oracle module, by path."""
+    path = (
+        Path(__file__).resolve().parents[1] / "tests" / "core" / "sequential_oracle.py"
+    )
+    spec = importlib.util.spec_from_file_location("sequential_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.run_sequential
+
+
+run_sequential = _load_run_sequential()
 
 
 def _make_sampler(seed):
@@ -57,17 +75,17 @@ def _trajectory(sampler):
 def test_bench_async_engine(once):
     def run():
         sequential = _make_sampler(SEED)
-        seq = TuningLoop(sequential, max_samples=MAX_SAMPLES).run()
+        seq = TuningLoop(sequential, max_samples=MAX_SAMPLES, batch_size=1).run()
 
         batched = _make_sampler(SEED)
         asynchronous = TuningLoop(
             batched, max_samples=MAX_SAMPLES, batch_size=N_WORKERS
         ).run()
 
-        # Equivalence gate at reduced scale: batch size 1 == sequential.
+        # Equivalence gate at reduced scale: batch size 1 == sequential oracle.
         gate_seq = _make_sampler(SEED + 1)
         gate_b1 = _make_sampler(SEED + 1)
-        TuningLoop(gate_seq, max_samples=25).run()
+        run_sequential(gate_seq, max_samples=25)
         TuningLoop(gate_b1, max_samples=25, batch_size=1).run()
 
         return {
@@ -82,7 +100,7 @@ def test_bench_async_engine(once):
 
     print(f"\nAsync batched execution ({N_WORKERS} workers, {MAX_SAMPLES} samples)")
     print(
-        f"  sequential: {seq.n_samples:>4} samples / {seq.n_iterations:>3} iterations"
+        f"  lockstep  : {seq.n_samples:>4} samples / {seq.n_iterations:>3} iterations"
         f"  -> {seq.wall_clock_hours:6.2f} simulated hours"
     )
     print(
@@ -91,7 +109,10 @@ def test_bench_async_engine(once):
         f"  -> {asynchronous.wall_clock_hours:6.2f} simulated hours (makespan)"
     )
     print(f"  wall-clock speedup: {result['speedup']:.2f}x (target {SPEEDUP_TARGET}x)")
-    print(f"  batch-size-1 trajectory identical to sequential: {result['batch1_identical']}")
+    print(
+        "  batch-size-1 trajectory identical to the sequential oracle: "
+        f"{result['batch1_identical']}"
+    )
 
     write_bench_json(
         "async",
@@ -113,11 +134,11 @@ def test_bench_async_engine(once):
     )
 
     assert result["batch1_identical"], (
-        "batch-size-1 asynchronous mode must reproduce the sequential "
+        "batch-size-1 lockstep mode must reproduce the sequential oracle's "
         "trajectory bit-for-bit under a fixed seed"
     )
     assert asynchronous.n_samples >= MAX_SAMPLES
     assert result["speedup"] >= SPEEDUP_TARGET, (
-        f"async run only {result['speedup']:.2f}x faster than sequential "
+        f"async run only {result['speedup']:.2f}x faster than lockstep "
         f"(target {SPEEDUP_TARGET}x)"
     )

@@ -309,7 +309,7 @@ def test_bench_ask_latency(once):
         )
 
         def cold_ask():
-            opt._surrogate_cache.invalidate()
+            opt._last_fit = None
             opt.ask()
 
         cold, _ = _best_of(cold_ask, repeats=3)

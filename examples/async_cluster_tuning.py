@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Asynchronous batched tuning: keep all 10 workers busy at once.
 
-The sequential tuning loop evaluates one optimizer suggestion per iteration,
+`TuningLoop` drives the discrete-event cluster engine.  At the default
+`batch_size=1` (lockstep) it evaluates one optimizer suggestion at a time,
 so most of the cluster idles: a budget-1 sample occupies a single worker
-while the other nine wait.  `TuningLoop(batch_size=...)` instead drives the
-discrete-event cluster engine — several configurations are in flight at
-once, the optimizer hands out batches via constant-liar fantasies, and the
-run's wall-clock is the makespan of the busiest worker.
+while the other nine wait.  A larger `batch_size` keeps several
+configurations in flight at once, the optimizer hands out batches via
+constant-liar fantasies, and the run's wall-clock is the makespan of the
+busiest worker.
 
 This example runs the same TUNA pipeline both ways at the same sample
 budget and prints the simulated wall-clock each mode needed.
@@ -43,7 +44,7 @@ def tune(batch_size):
 
 
 def main() -> None:
-    sequential, workload = tune(batch_size=None)
+    sequential, workload = tune(batch_size=1)
     batched, _ = tune(batch_size=N_WORKERS)
 
     print(f"TUNA on postgres/tpcc, {N_WORKERS} workers, {SAMPLE_BUDGET}-sample budget")

@@ -147,11 +147,11 @@ class Cluster:
     def advance(self, hours: float) -> None:
         """Advance the cluster-wide clock (and every worker's local clock).
 
-        This is the *lockstep* clock model of the sequential tuning loop:
-        every iteration moves the whole cluster forward uniformly.  The
-        asynchronous engine instead drives each worker's clock along its own
-        timeline (``vm.advance`` per worker) and only moves the cluster-wide
-        clock through :meth:`advance_clock`.
+        This is the clock model of the tuning loop's lockstep mode
+        (``batch_size=1``): every request moves the whole cluster forward
+        uniformly.  Larger batches instead drive each worker's clock along
+        its own timeline (``vm.advance`` per worker) and only move the
+        cluster-wide clock through :meth:`advance_clock`.
         """
         if hours < 0:
             raise ValueError("hours must be non-negative")

@@ -18,10 +18,11 @@ supplies the missing machinery:
   worker's position in simulated time), and hands back fully completed
   requests.
 
-``lockstep=True`` reproduces the legacy sequential semantics exactly — one
-request in flight, the whole cluster advanced uniformly by the driver after
-each completion — which is the batch-size-1 equivalence gate: same seeds
-must yield bit-for-bit the same samples as the sequential loop.
+``lockstep=True`` reproduces the sequential semantics exactly — one request
+in flight, the whole cluster advanced uniformly by the driver after each
+completion — which is the batch-size-1 equivalence gate: same seeds must
+yield bit-for-bit the same samples as the sequential reference loop in
+``tests/core/sequential_oracle.py`` (see :func:`check_lockstep`).
 
 Sample slots.  Each request fans out into one *slot* per VM, and the
 engine's guarantee is that every slot lands exactly one sample — a measured
@@ -396,7 +397,7 @@ class ClusterEventLoop:
             raise KeyError(f"worker {vm.vm_id!r} is not part of this cluster")
         worker_idx = self._workers.index_of(vm.vm_id)
         if self.lockstep:
-            # Legacy sequential semantics: every request starts at the global
+            # Sequential semantics: every request starts at the global
             # clock; there is never more than one request in flight.
             start = self.now
         else:
@@ -712,6 +713,29 @@ class _Slot:
         return next(clone for clone in self.clones if clone.sequence == sequence)
 
 
+def check_lockstep(
+    models: Iterable[Optional[Perturbation[Any, Any]]], speculation: object
+) -> None:
+    """Reject what lockstep mode (``batch_size=1``) must not run.
+
+    Lockstep is the bit-for-bit equivalence gate with the sequential loop,
+    so it stays uninjected and unspeculated: any *armed* perturbation model
+    or a speculation policy raises ``ValueError``.
+    """
+    for model in models:
+        if armed(model):
+            raise ValueError(
+                f"an active {model.family} model requires batch_size >= 2: "
+                "lockstep mode is the bit-for-bit equivalence gate and stays "
+                "uninjected"
+            )
+    if speculation is not None:
+        raise ValueError(
+            "speculative re-execution requires batch_size >= 2: duplicates "
+            "race on otherwise-idle workers, and lockstep mode has none"
+        )
+
+
 class AsyncExecutionEngine:
     """Keeps every worker VM busy with its own timeline of sample runs.
 
@@ -764,20 +788,10 @@ class AsyncExecutionEngine:
         elif speculation is False:
             speculation = None
         if lockstep:
-            families: Tuple[Optional[Perturbation[Any, Any]], ...] = (
-                fault_model,
-                crash_model,
-                partition_model,
-                corruption_model,
+            check_lockstep(
+                (fault_model, crash_model, partition_model, corruption_model),
+                speculation,
             )
-            for model in families:
-                if armed(model):
-                    raise ValueError(
-                        f"{model.family} injection is not supported in lockstep "
-                        "mode (it is the bit-for-bit equivalence gate)"
-                    )
-            if speculation is not None:
-                raise ValueError("speculation needs concurrent workers; not lockstep")
         if lease_timeout_hours is not None and lease_timeout_hours <= 0:
             raise ValueError("lease_timeout_hours must be positive")
         liveness = (

@@ -57,15 +57,15 @@ class Sampler(abc.ABC):
     The unit of work is a :class:`~repro.core.async_engine.WorkRequest`:
     :meth:`propose_work` decides what to run next (ask the optimizer, pick
     nodes), :meth:`complete_work` consumes the finished samples (aggregate,
-    tell the optimizer).  The sequential :meth:`run_iteration` composes the
-    two around an inline evaluation; the asynchronous tuning loop instead
-    submits proposals to an event loop and feeds completions back as they
-    land, keeping several requests in flight at once.
+    tell the optimizer).  The tuning loop submits proposals to the
+    execution engine and feeds completions back as they land: one request
+    at a time in lockstep mode, several in flight at once in larger
+    batches.
     """
 
     name = "abstract"
 
-    #: Optional hook set by the asynchronous driver when speculative
+    #: Optional hook set by the tuning loop when speculative
     #: re-execution or crash recovery is armed: maps a configuration to the
     #: workers currently running engine-initiated copies of it (speculative
     #: duplicates, crash retries), so placement can exclude them without
@@ -110,14 +110,6 @@ class Sampler(abc.ABC):
         than one per landed result) override this.
         """
         return [self.complete_work(request, samples) for request, samples in completed]
-
-    def run_iteration(self, iteration: int) -> IterationReport:
-        """Evaluate one optimizer suggestion synchronously and report back."""
-        request = self.propose_work(iteration)
-        new_samples = self.execution.evaluate_on_many(
-            request.config, request.vms, iteration, request.budget
-        )
-        return self.complete_work(request, new_samples)
 
     @abc.abstractmethod
     def best_configuration(self) -> Tuple[Configuration, float]:
@@ -263,7 +255,7 @@ class TunaSampler(Sampler):
         ablation knob.  The default ``"posterior"`` lets SMAC serve the
         in-flight asks of a wave from one fitted forest by resampling its
         trees instead of refitting after every constant-liar fantasy; the
-        first ask after each refit is unchanged, so sequential and lockstep
+        first ask after each refit is unchanged, so lockstep
         ``batch_size=1`` runs are the same as under ``"min"``, the legacy
         behaviour, bit-for-bit.
     """
@@ -309,9 +301,9 @@ class TunaSampler(Sampler):
         self.liar = liar
         self._catalog: Dict[Configuration, Tuple[int, float]] = {}  # budget, value
         self._unstable_configs: set = set()
-        # Workers currently running in-flight samples of a configuration
-        # (asynchronous mode); they count towards the configuration's budget
-        # and must never receive another sample of it.
+        # Workers currently running in-flight samples of a configuration;
+        # they count towards the configuration's budget and must never
+        # receive another sample of it.
         self._in_flight: Dict[Configuration, List[str]] = {}
 
     # ------------------------------------------------------------------ steps

@@ -15,13 +15,13 @@ import io
 import os
 import pickle
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, List, Optional
 
 import numpy as np
 
 from repro.cloud.vm import VirtualMachine
 from repro.configspace import Configuration
-from repro.core.async_engine import AsyncExecutionEngine, RetryPolicy
+from repro.core.async_engine import AsyncExecutionEngine, RetryPolicy, check_lockstep
 from repro.core.eventlog import EventLog
 from repro.core.execution import ExecutionEngine
 from repro.core.samplers import IterationReport, Sampler
@@ -40,7 +40,7 @@ from repro.faults import (
     build_fault_model,
     build_partition_model,
 )
-from repro.faults.base import Perturbation, armed
+from repro.faults.base import armed
 from repro.ml.metrics import coefficient_of_variation, relative_range
 from repro.systems.base import SystemUnderTest
 from repro.workloads.base import Workload
@@ -203,8 +203,8 @@ class StudyInterrupted(RuntimeError):
 
 
 @dataclass
-class _AsyncRunState:
-    """Everything the asynchronous driver accumulates between waves.
+class _RunState:
+    """Everything the driver accumulates between waves.
 
     This is the unit of checkpointing: pickling it (together with the
     owning :class:`TuningLoop`) captures the engine — and through it the
@@ -214,8 +214,6 @@ class _AsyncRunState:
     """
 
     engine: AsyncExecutionEngine
-    batch_size: int
-    lockstep: bool
     history: List[IterationReport] = field(default_factory=list)
     hours: float = 0.0
     samples: int = 0
@@ -229,21 +227,26 @@ class _AsyncRunState:
 class TuningLoop:
     """Runs a sampler for a fixed number of iterations or wall-clock budget.
 
+    One driver runs every study: proposals go to an
+    :class:`~repro.core.async_engine.AsyncExecutionEngine` and completions
+    come back to the sampler; ``batch_size`` sets how many samples are in
+    flight at once.
+
     Parameters
     ----------
     batch_size:
-        In-flight sample watermark.  ``None`` (default) runs the legacy
-        sequential loop: one request per iteration, the whole cluster
-        advanced uniformly between iterations.  Any integer ``>= 1`` drives
-        the asynchronous engine instead; ``batch_size=1`` is the synchronous
-        degenerate mode and reproduces the sequential trajectory bit-for-bit
-        under the same seeds, while larger batches keep every worker busy on
-        its own timeline, so the run's wall-clock is the makespan of the
-        busiest worker rather than ``n_iterations x eval_cost``.  The
-        watermark gates *submission*, not admission: a request is submitted
-        whole, so a multi-node request entering below the watermark may
-        momentarily push the in-flight count above it (a hard cap would
-        deadlock any request wider than the remaining window).
+        In-flight sample watermark.  ``1`` (default) is lockstep mode: one
+        request in flight and the whole cluster advanced uniformly between
+        requests, the one-suggestion-at-a-time loop of traditional tuning
+        (it reproduces the sequential reference in
+        ``tests/core/sequential_oracle.py`` bit-for-bit).  Larger batches
+        keep every worker busy on its own timeline, so the run's wall-clock
+        is the makespan of the busiest worker rather than
+        ``n_iterations x eval_cost``.  The watermark gates *submission*, not
+        admission: a request is submitted whole, so a multi-node request
+        entering below the watermark may momentarily push the in-flight
+        count above it (a hard cap would deadlock any request wider than
+        the remaining window).
     fault_model:
         Optional runtime-variability injection for the asynchronous engine:
         a :class:`~repro.faults.FaultModel` instance or a registry name
@@ -283,8 +286,7 @@ class TuningLoop:
     checkpoint_path:
         Where :meth:`checkpoint` serializes the study (atomic
         write-then-rename).  When set, a checkpoint is taken automatically
-        every ``checkpoint_every`` waves; requires the asynchronous driver
-        (``batch_size`` set).
+        every ``checkpoint_every`` waves.
     checkpoint_every:
         Wave interval between automatic checkpoints (default 1: every wave
         boundary).
@@ -366,7 +368,7 @@ class TuningLoop:
         n_iterations: Optional[int] = None,
         wall_clock_hours: Optional[float] = None,
         max_samples: Optional[int] = None,
-        batch_size: Optional[int] = None,
+        batch_size: int = 1,
         fault_model: FaultModel | str | None = None,
         fault_seed: Optional[int] = None,
         speculation: SpeculationPolicy | bool | None = None,
@@ -394,7 +396,7 @@ class TuningLoop:
             )
         if n_iterations is not None and n_iterations < 1:
             raise ValueError("n_iterations must be >= 1")
-        if batch_size is not None and batch_size < 1:
+        if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         self.sampler = sampler
         self.n_iterations = n_iterations
@@ -439,31 +441,18 @@ class TuningLoop:
             self.tracer = tracer
         #: Run state captured by :meth:`checkpoint` / restored by
         #: :meth:`resume`; only non-None while a run/resume is in progress.
-        self._active_state: Optional[_AsyncRunState] = None
-        self._resume_state: Optional[_AsyncRunState] = None
+        self._active_state: Optional[_RunState] = None
+        self._resume_state: Optional[_RunState] = None
         self._probe_armed = False
-        if batch_size is None or batch_size < 2:
-            families: Tuple[Optional[Perturbation[Any, Any]], ...] = (
-                self.fault_model,
-                self.crash_model,
-                self.partition_model,
-                self.corruption_model,
-            )
-            for model in families:
-                if armed(model):
-                    raise ValueError(
-                        f"an active {model.family} model requires batch_size >= 2: "
-                        "the sequential and lockstep paths are the bit-for-bit "
-                        "equivalence gates and stay uninjected"
-                    )
-            if self.speculation is not None:
-                raise ValueError(
-                    "speculative re-execution requires batch_size >= 2 "
-                    "(duplicates race on otherwise-idle workers)"
-                )
-        if lease_timeout is not None and batch_size is None:
-            raise ValueError(
-                "liveness leases live on the asynchronous engine; set batch_size"
+        if batch_size < 2:
+            check_lockstep(
+                (
+                    self.fault_model,
+                    self.crash_model,
+                    self.partition_model,
+                    self.corruption_model,
+                ),
+                self.speculation,
             )
         if checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
@@ -471,13 +460,6 @@ class TuningLoop:
             raise ValueError("checkpoint_keep must be >= 1")
         if stop_after_waves is not None and stop_after_waves < 1:
             raise ValueError("stop_after_waves must be >= 1")
-        if (checkpoint_path is not None or stop_after_waves is not None) and (
-            batch_size is None
-        ):
-            raise ValueError(
-                "checkpointing and the wave kill switch live at the "
-                "asynchronous driver's wave boundaries; set batch_size"
-            )
 
     def _should_stop(self, iteration: int, hours: float, samples: int) -> bool:
         if self.n_iterations is not None and iteration >= self.n_iterations:
@@ -502,56 +484,6 @@ class TuningLoop:
         return streak
 
     def run(self) -> TuningResult:
-        if self.event_log is not None:
-            # Write-ahead logging: the datastore mirrors every landed sample
-            # into the log before recording it in memory.
-            self.sampler.datastore.event_log = self.event_log
-        if self.batch_size is not None:
-            try:
-                return self._run_async(self.batch_size)
-            finally:
-                # The speculation/recovery probe binds the sampler to this
-                # run's engine; never leave it dangling (even on abort).
-                if self._probe_armed:
-                    self.sampler.speculation_probe = None
-        return self._run_sequential()
-
-    def _run_sequential(self) -> TuningResult:
-        history: List[IterationReport] = []
-        hours = 0.0
-        samples = 0
-        iteration = 0
-        zero_streak = 0
-        workload = self.sampler.execution.workload
-        while not self._should_stop(iteration, hours, samples):
-            report = self.sampler.run_iteration(iteration)
-            report.details.setdefault("objective_unit", workload.objective.unit)
-            report.details.setdefault("higher_is_better", workload.higher_is_better)
-            history.append(report)
-            hours += report.wall_clock_hours
-            samples += report.n_new_samples
-            iteration += 1
-            zero_streak = self._track_progress(report, zero_streak)
-            # A request that scheduled no new samples consumed no time, so
-            # the per-worker clocks must not move (re-advancing them would
-            # shift every later measurement's drift and credit state).
-            if report.wall_clock_hours > 0:
-                self.sampler.cluster.advance(report.wall_clock_hours)
-
-        best_config, best_value = self.sampler.best_configuration()
-        return TuningResult(
-            sampler_name=self.sampler.name,
-            workload_name=workload.name,
-            best_config=best_config,
-            best_catalog_value=best_value,
-            higher_is_better=workload.higher_is_better,
-            history=history,
-            n_iterations=iteration,
-            n_samples=samples,
-            wall_clock_hours=hours,
-        )
-
-    def _run_async(self, batch_size: int) -> TuningResult:
         """Drive the sampler through the asynchronous execution engine.
 
         Proposals are submitted while in-flight capacity remains and no
@@ -560,23 +492,31 @@ class TuningLoop:
         interleaves requests).  Once a criterion trips, in-flight work is
         drained — matching a real cluster, where started benchmarks finish.
         ``batch_size=1`` runs the engine in lockstep mode: one request in
-        flight and uniform cluster advancement, reproducing the sequential
-        loop exactly.
+        flight and uniform cluster advancement.  A loop returned by
+        :meth:`resume` continues from its checkpointed wave.
         """
+        if self.event_log is not None:
+            # Write-ahead logging: the datastore mirrors every landed sample
+            # into the log before recording it in memory.
+            self.sampler.datastore.event_log = self.event_log
         if self._resume_state is not None:
-            state = self._resume_state
-            self._resume_state = None
+            state, self._resume_state = self._resume_state, None
         else:
-            state = self._start_async_state(batch_size)
-        return self._drive_async(state)
+            state = self._start()
+        try:
+            return self._drive(state)
+        finally:
+            # The speculation/recovery probe binds the sampler to this
+            # run's engine; never leave it dangling (even on abort).
+            if self._probe_armed:
+                self.sampler.speculation_probe = None
 
-    def _start_async_state(self, batch_size: int) -> _AsyncRunState:
-        """Build the engine and a fresh driver state for an async run."""
-        lockstep = batch_size == 1
+    def _start(self) -> _RunState:
+        """Build the engine and a fresh driver state for a run."""
         engine = AsyncExecutionEngine(
             self.sampler.execution,
             self.sampler.cluster,
-            lockstep=lockstep,
+            lockstep=self.batch_size == 1,
             fault_model=self.fault_model,
             speculation=self.speculation,
             crash_model=self.crash_model,
@@ -600,9 +540,9 @@ class TuningLoop:
             optimizer = getattr(self.sampler, "optimizer", None)
             if optimizer is not None:
                 optimizer.metrics = self.metrics
-        return _AsyncRunState(engine=engine, batch_size=batch_size, lockstep=lockstep)
+        return _RunState(engine=engine)
 
-    def _handle_report(self, state: _AsyncRunState, report: IterationReport) -> None:
+    def _handle_report(self, state: _RunState, report: IterationReport) -> None:
         workload = self.sampler.execution.workload
         report.details.setdefault("objective_unit", workload.objective.unit)
         report.details.setdefault("higher_is_better", workload.higher_is_better)
@@ -611,7 +551,7 @@ class TuningLoop:
         state.completed += 1
         state.zero_streak = self._track_progress(report, state.zero_streak)
 
-    def _drive_async(self, state: _AsyncRunState) -> TuningResult:
+    def _drive(self, state: _RunState) -> TuningResult:
         engine = state.engine
         if engine.speculation is not None or (
             armed(self.crash_model) and engine.retry_policy is not None
@@ -629,7 +569,7 @@ class TuningLoop:
                 # *submitted* work (samples already in flight count towards
                 # the budget), so a large batch does not overshoot
                 # ``max_samples`` while the final samples are still running.
-                while state.engine.n_in_flight_items < state.batch_size and not (
+                while engine.n_in_flight_items < self.batch_size and not (
                     self._should_stop(
                         state.submitted, state.hours, state.submitted_samples
                     )
@@ -672,11 +612,11 @@ class TuningLoop:
                     reports = self.sampler.complete_work_batch(wave)
                 for report in reports:
                     self._handle_report(state, report)
-                    if state.lockstep:
+                    if engine.lockstep:
                         state.hours += report.wall_clock_hours
                         if report.wall_clock_hours > 0:
                             self.sampler.cluster.advance(report.wall_clock_hours)
-                if not state.lockstep:
+                if not engine.lockstep:
                     state.hours = engine.makespan_hours
                 state.wave_index += 1
                 if (
@@ -692,7 +632,7 @@ class TuningLoop:
         finally:
             self._active_state = None
 
-        if state.lockstep:
+        if engine.lockstep:
             wall_clock = state.hours
         else:
             wall_clock = engine.finalize()

@@ -15,7 +15,6 @@ All estimators follow a minimal ``fit`` / ``predict`` convention operating on
 ``numpy`` arrays and take explicit seeds for determinism.
 """
 
-from repro.ml.cache import SurrogateCache
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.gaussian_process import GaussianProcessRegressor
 from repro.ml.kernels import ConstantKernel, Matern52Kernel, RBFKernel, WhiteKernel
@@ -39,7 +38,6 @@ __all__ = [
     "RBFKernel",
     "RandomForestRegressor",
     "StandardScaler",
-    "SurrogateCache",
     "WhiteKernel",
     "coefficient_of_variation",
     "mean_absolute_error",

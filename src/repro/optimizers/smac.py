@@ -9,12 +9,11 @@ perturbations of the best configurations seen so far ("local search").
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.configspace import CandidatePool, Configuration, ConfigurationSpace
-from repro.ml.cache import SurrogateCache
 from repro.ml.forest import RandomForestRegressor
 from repro.optimizers.acquisition import expected_improvement
 from repro.optimizers.base import Optimizer
@@ -62,12 +61,12 @@ class SMACOptimizer(Optimizer):
             list(initial_design) if initial_design is not None else []
         )
         self._initial_served = 0
-        # Fitted surrogate keyed on the optimizer's data version (bumped by
-        # every tell/retract and every constant-liar fantasy): back-to-back
-        # ask() calls without an intervening data change reuse the forest
-        # instead of refitting all n_trees trees on identical data, and so
-        # do asks behind posterior fantasies (see _ask_impl).
-        self._surrogate_cache = SurrogateCache()
+        # The last fit as (data_version, fitted): the data version is bumped
+        # by every tell/retract and every constant-liar fantasy, so
+        # back-to-back ask() calls without an intervening data change reuse
+        # the forest instead of refitting all n_trees trees on identical
+        # data, and so do asks behind posterior fantasies (see _ask_impl).
+        self._last_fit: Optional[Tuple[int, tuple]] = None
 
     # -- initial design ------------------------------------------------------
     def _next_initial(self) -> Optional[Configuration]:
@@ -82,11 +81,10 @@ class SMACOptimizer(Optimizer):
 
     # -- surrogate ------------------------------------------------------
     def _fit_surrogate(self) -> tuple:
-        cached = self._surrogate_cache.get(self.data_version)
-        if cached is not None:
+        if self._last_fit is not None and self._last_fit[0] == self.data_version:
             if self.metrics is not None:
                 self.metrics.inc("optimizer.surrogate.cache_hits")
-            return cached
+            return self._last_fit[1]
         if self.metrics is not None:
             self.metrics.inc("optimizer.surrogate.refits")
         X, y, configs = self._training_data()
@@ -103,7 +101,7 @@ class SMACOptimizer(Optimizer):
         else:
             forest.fit(X, y)
         fitted = (forest, X, y, configs)
-        self._surrogate_cache.put(self.data_version, fitted)
+        self._last_fit = (self.data_version, fitted)
         return fitted
 
     def _candidate_pool(

@@ -2,7 +2,7 @@
 
 Covers the discrete-event core (:class:`ClusterEventLoop`), the request-level
 engine (:class:`AsyncExecutionEngine`), the batch-size-1 equivalence gate
-(async lockstep mode must reproduce the sequential loop bit-for-bit), and the
+(lockstep mode must reproduce the sequential oracle bit-for-bit), and the
 regression fixes that rode along: zero-sample promotion iterations cost no
 wall-clock, promotions are transactional, and deployment relative range uses
 the shared metric definition.
@@ -10,6 +10,7 @@ the shared metric definition.
 
 import numpy as np
 import pytest
+from sequential_oracle import run_iteration, run_sequential
 
 from repro.cloud import Cluster
 from repro.configspace import Configuration
@@ -291,13 +292,13 @@ class TestConfigExclusionEviction:
 
 
 class TestBatchOneEquivalence:
-    """The gate: batch-size-1 async mode ≡ the sequential loop, bit for bit."""
+    """The gate: batch-size-1 lockstep mode ≡ the sequential oracle, bit for bit."""
 
     @pytest.mark.parametrize("optimizer", ["random", "smac"])
     def test_tuna_batch1_matches_sequential(self, optimizer):
         _, cluster_a, execution_a, opt_a = make_setup(5, optimizer)
         seq = TunaSampler(opt_a, execution_a, cluster_a, seed=5)
-        result_seq = TuningLoop(seq, max_samples=35).run()
+        result_seq = run_sequential(seq, max_samples=35)
 
         _, cluster_b, execution_b, opt_b = make_setup(5, optimizer)
         batched = TunaSampler(opt_b, execution_b, cluster_b, seed=5)
@@ -314,7 +315,7 @@ class TestBatchOneEquivalence:
     def test_traditional_batch1_matches_sequential(self):
         _, cluster_a, execution_a, opt_a = make_setup(3, "smac")
         seq = TraditionalSampler(opt_a, execution_a, cluster_a, seed=3)
-        TuningLoop(seq, n_iterations=12).run()
+        run_sequential(seq, n_iterations=12)
 
         _, cluster_b, execution_b, opt_b = make_setup(3, "smac")
         batched = TraditionalSampler(opt_b, execution_b, cluster_b, seed=3)
@@ -325,7 +326,7 @@ class TestBatchOneEquivalence:
     def test_naive_batch1_matches_sequential(self):
         _, cluster_a, execution_a, opt_a = make_setup(4)
         seq = NaiveDistributedSampler(opt_a, execution_a, cluster_a, seed=4)
-        TuningLoop(seq, n_iterations=4).run()
+        run_sequential(seq, n_iterations=4)
 
         _, cluster_b, execution_b, opt_b = make_setup(4)
         batched = NaiveDistributedSampler(opt_b, execution_b, cluster_b, seed=4)
@@ -392,12 +393,12 @@ class TestZeroSampleIterationsAreFree:
 
     def test_zero_sample_iteration_reports_zero_hours(self):
         sampler, _ = self._sampler_with_duplicate_asks()
-        first = sampler.run_iteration(0)
+        first = run_iteration(sampler, 0)
         assert first.n_new_samples == 1
         assert first.wall_clock_hours > 0
         # The optimizer re-suggests the same configuration, whose budget is
         # already covered: no new samples, no wall-clock.
-        second = sampler.run_iteration(1)
+        second = run_iteration(sampler, 1)
         assert second.n_new_samples == 0
         assert second.wall_clock_hours == 0.0
 
@@ -431,7 +432,7 @@ class TestTransactionalPromotion:
         # Fill rung 1 until a promotion is pending.
         iteration = 0
         while sampler.schedule.n_pending_promotions() == 0:
-            sampler.run_iteration(iteration)
+            run_iteration(sampler, iteration)
             iteration += 1
         return sampler, iteration
 
@@ -443,12 +444,12 @@ class TestTransactionalPromotion:
 
         monkeypatch.setattr(sampler.scheduler, "assign", boom)
         with pytest.raises(RuntimeError):
-            sampler.run_iteration(iteration)
+            run_iteration(sampler, iteration)
         monkeypatch.undo()
 
         # The configuration is still promotable: the next iteration proposes
         # and completes the same promotion instead of silently dropping it.
-        report = sampler.run_iteration(iteration + 1)
+        report = run_iteration(sampler, iteration + 1)
         assert report.budget > sampler.schedule.min_budget
 
     def test_async_driver_defers_scheduling_failures_while_work_drains(self, monkeypatch):
@@ -492,7 +493,7 @@ class TestTransactionalPromotion:
         sampler = TunaSampler(opt, execution, cluster, seed=2)
         iteration = 0
         while sampler.schedule.n_pending_promotions() == 0:
-            sampler.run_iteration(iteration)
+            run_iteration(sampler, iteration)
             iteration += 1
         config, _ = sampler.schedule.propose_promotion()
         sampler.schedule.rollback_promotion(config)

@@ -196,11 +196,28 @@ class TestResumeEquivalence:
         with pytest.raises(RuntimeError, match="asynchronous run"):
             loop.checkpoint()
 
-    def test_checkpoint_requires_async_driver(self):
-        with pytest.raises(ValueError, match="batch_size"):
-            TuningLoop(make_sampler(), max_samples=5, checkpoint_path="x.ckpt")
-        with pytest.raises(ValueError, match="batch_size"):
-            TuningLoop(make_sampler(), max_samples=5, stop_after_waves=1)
+    def test_default_driver_resumes_bit_for_bit(self, tmp_path):
+        """Lockstep (the default ``batch_size=1``) checkpoints at its wave
+        boundaries and resumes like any batched study."""
+        ref_sampler = make_sampler()
+        ref_result = TuningLoop(ref_sampler, max_samples=20).run()
+        log = str(tmp_path / "events.jsonl")
+        sampler = make_sampler()
+        with pytest.raises(StudyInterrupted):
+            TuningLoop(
+                sampler,
+                max_samples=20,
+                event_log=log,
+                checkpoint_path=str(tmp_path / "study.ckpt"),
+                stop_after_waves=2,
+            ).run()
+        loop = TuningLoop.resume(log)
+        result = loop.run()
+        assert trajectory(loop.sampler) == trajectory(ref_sampler)
+        assert result.wall_clock_hours == ref_result.wall_clock_hours
+        assert result.n_iterations == ref_result.n_iterations
+        assert result.best_config == ref_result.best_config
+        assert [e["kind"] for e in EventLog.replay(log)][-1] == "finish"
 
 
 class TestEventLogStrictness:

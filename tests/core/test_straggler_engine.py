@@ -18,6 +18,7 @@ from repro.core import (
     TuningLoop,
     WorkRequest,
 )
+from repro.core.async_engine import check_lockstep
 from repro.faults import FaultModel, NoFaultModel, SpeculationPolicy
 from repro.optimizers import RandomSearchOptimizer
 from repro.systems import PostgreSQLSystem
@@ -139,6 +140,37 @@ class TestLoopValidation:
             )
         with pytest.raises(ValueError):
             AsyncExecutionEngine(execution, cluster, lockstep=True, speculation=True)
+
+    def test_loop_and_engine_share_the_lockstep_check(self):
+        # TuningLoop and the lockstep engine run one check, so both reject
+        # the same settings in the same words.
+        _, cluster, execution, opt = make_setup(0)
+        sampler = TunaSampler(opt, execution, cluster, seed=0)
+        for kwargs in ({"fault_model": "lognormal"}, {"speculation": True}):
+            with pytest.raises(ValueError) as loop_error:
+                TuningLoop(sampler, max_samples=10, **kwargs)
+            with pytest.raises(ValueError) as engine_error:
+                AsyncExecutionEngine(execution, cluster, lockstep=True, **kwargs)
+            assert str(loop_error.value) == str(engine_error.value)
+
+
+class TestCheckLockstep:
+    def test_absent_and_null_models_pass(self):
+        assert check_lockstep((None, NoFaultModel(), None), None) is None
+
+    def test_armed_model_is_named(self):
+        with pytest.raises(ValueError) as error:
+            check_lockstep((None, ScriptedStretch(0)), None)
+        message = str(error.value)
+        assert ScriptedStretch.family in message
+        assert "batch_size >= 2" in message and "lockstep" in message
+
+    def test_speculation_policy_is_rejected(self):
+        with pytest.raises(ValueError) as error:
+            check_lockstep((None,), SpeculationPolicy())
+        message = str(error.value)
+        assert "speculat" in message
+        assert "batch_size" in message and "lockstep" in message
 
 
 class TestEventLoopCancellation:

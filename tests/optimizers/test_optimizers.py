@@ -10,6 +10,7 @@ from repro.configspace import (
     FloatParameter,
     IntegerParameter,
 )
+from repro.obs.metrics import MetricsRegistry
 from repro.optimizers import (
     GaussianProcessOptimizer,
     RandomSearchOptimizer,
@@ -389,12 +390,33 @@ class TestSMACSurrogateCache:
 
     def test_back_to_back_asks_reuse_the_forest(self):
         opt = self._warm_optimizer()
+        opt.metrics = MetricsRegistry()
         opt.ask()
         forest_a = opt._fit_surrogate()[0]
         opt.ask()
         forest_b = opt._fit_surrogate()[0]
         assert forest_a is forest_b
-        assert opt._surrogate_cache.hits >= 2
+        assert opt.metrics.counter_value("optimizer.surrogate.cache_hits") >= 2
+
+    def test_first_fit_refits_and_the_next_reuses(self):
+        # Each _fit_surrogate call is counted once: as a refit or as a hit.
+        opt = self._warm_optimizer()
+        opt.metrics = MetricsRegistry()
+        opt._fit_surrogate()
+        assert opt.metrics.counter_value("optimizer.surrogate.refits") == 1
+        assert opt.metrics.counter_value("optimizer.surrogate.cache_hits") == 0
+        opt._fit_surrogate()
+        assert opt.metrics.counter_value("optimizer.surrogate.refits") == 1
+        assert opt.metrics.counter_value("optimizer.surrogate.cache_hits") == 1
+
+    def test_clearing_the_fit_record_forces_a_refit(self):
+        # A cold ask (as timed by bench-forest-fit) drops the fit record.
+        opt = self._warm_optimizer()
+        forest_a = opt._fit_surrogate()[0]
+        opt._last_fit = None
+        forest_b = opt._fit_surrogate()[0]
+        assert forest_a is not forest_b
+        assert opt._last_fit[1][0] is forest_b
 
     def test_tell_invalidates_the_cache(self):
         opt = self._warm_optimizer()

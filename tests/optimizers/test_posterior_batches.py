@@ -3,13 +3,15 @@
 Under ``liar="posterior"`` a fantasy records the CL-min lie but leaves the
 fitted surrogate valid, so the asks of one wave share a single forest and
 each scores EI under its own bootstrap resample of the trees.  The first
-ask after each refit takes the legacy path, which keeps sequential and
-lockstep ``batch_size=1`` runs identical to CL-min; the GP refits on every
-ask and so behaves as CL-min throughout.
+ask after each refit takes the legacy path, which keeps lockstep
+``batch_size=1`` runs (and the sequential oracle) identical to CL-min; the
+GP refits on every ask and so behaves as CL-min throughout.
 """
 
 import copy
+import importlib.util
 import inspect
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,18 @@ from repro.obs.metrics import MetricsRegistry
 from repro.optimizers import GaussianProcessOptimizer, RandomSearchOptimizer, SMACOptimizer
 from repro.systems import PostgreSQLSystem
 from repro.workloads import TPCC
+
+
+def _load_run_sequential():
+    """``run_sequential`` from ``tests/core/sequential_oracle.py``, by path."""
+    path = Path(__file__).resolve().parents[1] / "core" / "sequential_oracle.py"
+    spec = importlib.util.spec_from_file_location("sequential_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.run_sequential
+
+
+run_sequential = _load_run_sequential()
 
 
 def make_space(seed=0):
@@ -154,13 +168,16 @@ class TestStudies:
     def test_sequential_and_lockstep_identical_under_both(self, seed):
         runs = {}
         for liar in ("min", "posterior"):
-            for batch_size in (None, 1):
+            for driver in ("sequential", "lockstep"):
                 sampler = make_sampler(seed, liar)
-                result = TuningLoop(sampler, max_samples=50, batch_size=batch_size).run()
-                runs[liar, batch_size] = (
+                if driver == "sequential":
+                    result = run_sequential(sampler, max_samples=50)
+                else:
+                    result = TuningLoop(sampler, max_samples=50, batch_size=1).run()
+                runs[liar, driver] = (
                     trajectory(sampler), result.wall_clock_hours, result.best_config
                 )
-        reference = runs["min", None]
+        reference = runs["min", "sequential"]
         assert all(run == reference for run in runs.values())
 
     @pytest.mark.parametrize("liar", ["min", "posterior"])

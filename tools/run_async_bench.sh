@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Async-execution microbenchmark smoke run: prints sequential vs 10-worker
-# asynchronous simulated wall-clock for the same sample budget, asserts the
-# makespan speedup stays >= 5x, re-checks the batch-size-1 equivalence
-# gate (async lockstep mode == sequential loop, bit for bit), and writes
-# BENCH_ASYNC.json (speedup, makespans) for CI archiving.
+# Async-execution microbenchmark smoke run: prints lockstep (batch 1) vs
+# 10-worker asynchronous simulated wall-clock for the same sample budget,
+# asserts the makespan speedup stays >= 5x, re-checks the batch-size-1
+# equivalence gate (lockstep mode == the sequential oracle in
+# tests/core/sequential_oracle.py, bit for bit), and writes BENCH_ASYNC.json
+# (speedup, makespans) for CI archiving.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
