@@ -47,6 +47,7 @@ from repro.cloud import Cluster
 from repro.core import ExecutionEngine, RetryPolicy, TunaSampler, TuningLoop
 from repro.core.async_engine import AsyncExecutionEngine, WorkRequest
 from repro.core.eventlog import config_digest
+from repro.faults import build_crash_model, build_fault_model
 from repro.obs import MetricsRegistry, TraceRecorder
 from repro.obs.report import report_from_log
 from repro.optimizers import RandomSearchOptimizer
@@ -222,11 +223,9 @@ def _render_run_report(out_dir):
         sampler,
         max_samples=REPORT_SAMPLES,
         batch_size=5,
-        crash_model="transient",
-        crash_seed=3,
+        crash_model=build_crash_model("transient", seed=3),
         retry_policy=RetryPolicy(max_retries=2, backoff_hours=0.05),
-        fault_model="lognormal",
-        fault_seed=7,
+        fault_model=build_fault_model("lognormal", seed=7),
         speculation=True,
         event_log=log_path,
         metrics=registry,

@@ -31,6 +31,7 @@ from repro.core import (
     TunaSampler,
     TuningLoop,
 )
+from repro.faults import build_crash_model
 from repro.optimizers import RandomSearchOptimizer
 from repro.systems import PostgreSQLSystem
 from repro.workloads import TPCC
@@ -60,11 +61,13 @@ def main() -> None:
     workdir = tempfile.mkdtemp(prefix="fault_tolerant_tuning_")
     log_path = os.path.join(workdir, "events.jsonl")
     ckpt_path = os.path.join(workdir, "study.ckpt")
-    crash_kwargs = dict(
-        crash_model="transient",
-        crash_seed=3,
-        retry_policy=RetryPolicy(max_retries=2, backoff_hours=0.05),
-    )
+
+    def crash_kwargs() -> dict:
+        # Built per study: a crash model carries its RNG streams.
+        return dict(
+            crash_model=build_crash_model("transient", seed=3),
+            retry_policy=RetryPolicy(max_retries=2, backoff_hours=0.05),
+        )
 
     # -- arm 1: run with crash injection, kill mid-study ------------------
     print(f"[1] durable study with crash injection -> {log_path}")
@@ -76,7 +79,7 @@ def main() -> None:
             event_log=log_path,
             checkpoint_path=ckpt_path,
             stop_after_waves=KILL_AFTER_WAVES,
-            **crash_kwargs,
+            **crash_kwargs(),
         ).run()
         raise SystemExit("the kill switch never fired — nothing to resume")
     except StudyInterrupted as exc:
@@ -98,7 +101,7 @@ def main() -> None:
         twin_sampler,
         max_samples=MAX_SAMPLES,
         batch_size=BATCH_SIZE,
-        **crash_kwargs,
+        **crash_kwargs(),
     ).run()
     print(
         f"    twin finished: {twin.n_samples} samples, "

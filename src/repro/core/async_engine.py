@@ -312,7 +312,6 @@ class ClusterEventLoop:
     def __init__(
         self,
         cluster: Cluster,
-        lockstep: bool = False,
         fault_model: "FaultModel | str | None" = None,
         crash_model: "CrashModel | str | None" = None,
         metrics: "Optional[MetricsRegistry]" = None,
@@ -320,7 +319,6 @@ class ClusterEventLoop:
         liveness: Optional[LivenessMonitor] = None,
     ) -> None:
         self.cluster = cluster
-        self.lockstep = lockstep
         self.fault_model = build_fault_model(fault_model)
         self.crash_model = build_crash_model(crash_model)
         #: Optional gray-failure silence injection (report delays) and the
@@ -396,12 +394,7 @@ class ClusterEventLoop:
         if not self._workers.has_worker(vm.vm_id):
             raise KeyError(f"worker {vm.vm_id!r} is not part of this cluster")
         worker_idx = self._workers.index_of(vm.vm_id)
-        if self.lockstep:
-            # Sequential semantics: every request starts at the global
-            # clock; there is never more than one request in flight.
-            start = self.now
-        else:
-            start = max(self._workers.free_at_of(worker_idx), self.now, not_before)
+        start = max(self._workers.free_at_of(worker_idx), self.now, not_before)
         stretch = 1.0
         if armed(self.fault_model):
             context = FaultContext(
@@ -755,6 +748,62 @@ class AsyncExecutionEngine:
     regular placement off the workers running them.  Each event is counted
     once in :attr:`counters` (the loop's table), from which
     :meth:`engine_stats` is derived.
+
+    Parameters
+    ----------
+    lockstep:
+        Sequential semantics for ``TuningLoop(batch_size=1)``: the driver
+        keeps one request in flight and advances the whole cluster itself.
+        Lockstep is the bit-for-bit equivalence gate, so it rejects every
+        armed perturbation model and a speculation policy
+        (:func:`check_lockstep`).
+    fault_model:
+        Runtime-variability injection: a :class:`~repro.faults.FaultModel`
+        instance or a registry name (``"none"``, ``"lognormal"``,
+        ``"interference"``, ``"brownout"``).  A name builds the model with
+        seed 0; pass e.g. ``build_fault_model("lognormal", seed=7)`` for
+        another.  ``"none"`` and ``None`` reproduce uninjected
+        trajectories bit-for-bit — the same contract holds for the crash,
+        partition and corruption models.
+    speculation:
+        Straggler mitigation: ``True`` for the default
+        :class:`~repro.faults.SpeculationPolicy`, or a policy instance.
+    crash_model:
+        Fail-stop crash injection: a :class:`~repro.faults.CrashModel` or a
+        registry name (``"none"``, ``"transient"``, ``"node-death"``).
+    retry_policy:
+        Recovery of lost sample slots (capped exponential backoff, per-slot
+        retry budget).  ``None`` means no retries: every failure lands as a
+        crash-penalty sample.
+    partition_model:
+        Gray-failure silence injection: a
+        :class:`~repro.faults.PartitionModel` or a registry name
+        (``"none"``, ``"stall"``, ``"partition"``, ``"flaky"``).  Delays a
+        copy's terminal report instead of killing its run, so only a
+        liveness lease can tell it apart from a dead one.
+    lease_timeout_hours:
+        Liveness-lease timeout in simulated hours; a worker silent longer
+        is suspected and its slot re-submitted under a new epoch, and the
+        stale report (the zombie) is rejected when it arrives.  ``None``
+        disables the monitor; without an active partition model an armed
+        monitor never fires.
+    validation:
+        Result quarantine: a :class:`~repro.core.validation.ResultValidator`
+        or ``True`` for the default (reject NaN/Inf).  A failing value never
+        reaches the optimizer; the slot is re-measured under its retry
+        budget.
+    corruption_model:
+        Garbage injection exercising the quarantine gate: a
+        :class:`~repro.core.validation.CorruptionModel` or a registry name
+        (``"none"``, ``"corrupt_result"``); corrupts a seeded fraction of
+        values *after* measurement.
+    event_log:
+        Write-ahead :class:`~repro.core.eventlog.EventLog` receiving every
+        engine action.
+    metrics, tracer:
+        Observability: a :class:`~repro.obs.metrics.MetricsRegistry` and a
+        :class:`~repro.obs.tracing.TraceRecorder` (``True`` builds a
+        default one).  Both are write-only and trajectory-inert.
     """
 
     def __init__(
@@ -769,13 +818,26 @@ class AsyncExecutionEngine:
         crash_model: "CrashModel | str | None" = None,
         retry_policy: Optional[RetryPolicy] = None,
         event_log: Optional[EventLog] = None,
-        metrics: "Optional[MetricsRegistry]" = None,
-        tracer: "Optional[TraceRecorder]" = None,
+        metrics: "MetricsRegistry | bool | None" = None,
+        tracer: "TraceRecorder | bool | None" = None,
         partition_model: "PartitionModel | str | None" = None,
         lease_timeout_hours: Optional[float] = None,
         validation: "ResultValidator | bool | None" = None,
         corruption_model: "CorruptionModel | str | None" = None,
     ) -> None:
+        # Observability attachments: ``True`` builds a default one.  An
+        # *empty* registry is falsy, so compare against the booleans
+        # explicitly instead of truth-testing.
+        if metrics is True:
+            metrics = MetricsRegistry()
+        elif metrics is False:
+            metrics = None
+        if tracer is True:
+            from repro.obs.tracing import TraceRecorder as _Recorder
+
+            tracer = _Recorder()
+        elif tracer is False:
+            tracer = None
         self.execution = execution
         self.cluster = cluster
         self.lockstep = lockstep
@@ -801,7 +863,6 @@ class AsyncExecutionEngine:
         )
         self.loop = ClusterEventLoop(
             cluster,
-            lockstep=lockstep,
             fault_model=fault_model,
             crash_model=crash_model,
             metrics=metrics,
@@ -823,16 +884,16 @@ class AsyncExecutionEngine:
         self._c_submitted = self.counters.counter("engine.items.submitted")
         self._c_completed = self.counters.counter("engine.items.completed")
         self._c_landed = self.counters.counter("engine.samples.landed")
-        #: What an attached registry already held (an earlier engine's
-        #: counts): :meth:`engine_stats` reports only this engine's.
-        self._stats_origin = {
-            key: self.counters.total(key)
-            for keys in ENGINE_STATS.values()
-            for key in keys.values()
-        }
+        #: What an attached registry already held (other engines' counts):
+        #: :meth:`engine_stats` reports only this engine's.  Taken again at
+        #: the first submission, since an engine can be built long before
+        #: it runs.
+        self._stats_origin = self._stats_totals()
+        #: The attached observability registry (``None`` when detached).
+        self.metrics: Optional[MetricsRegistry] = metrics
         #: Optional lifecycle tracer (``is not None``-guarded and write-only,
         #: so attaching it is trajectory-inert).
-        self._tracer = tracer
+        self.tracer: Optional[TraceRecorder] = tracer
         self.speculation = speculation
         self.retry_policy = retry_policy
         self._detector = (
@@ -885,6 +946,8 @@ class AsyncExecutionEngine:
                 "request schedules no samples; complete it inline instead of "
                 "submitting it to the event loop"
             )
+        if self.n_submitted_requests == 0:
+            self._stats_origin = self._stats_totals()
         owner = _OpenRequest(request)
         exclusion = self._exclusions.setdefault(request.config, _Exclusion())
         exclusion.open_requests += 1
@@ -915,9 +978,9 @@ class AsyncExecutionEngine:
 
     def _trace_begin(self, item: WorkItem, kind: str, submitted: float) -> None:
         """Open the item's lifecycle span (no-op without a tracer)."""
-        if self._tracer is None:
+        if self.tracer is None:
             return
-        self._tracer.begin(
+        self.tracer.begin(
             item.sequence,
             item.vm.vm_id,
             kind,
@@ -1084,8 +1147,8 @@ class AsyncExecutionEngine:
         self._c_completed.inc()
         if item.speculative:
             self.counters.inc("engine.speculation.wins")
-        if self._tracer is not None:
-            self._tracer.end(
+        if self.tracer is not None:
+            self.tracer.end(
                 item.sequence, item.finish_hours, "complete", value=sample.value
             )
         return self._land(slot, sample)
@@ -1160,8 +1223,8 @@ class AsyncExecutionEngine:
             speculative=item.speculative,
             worker_dead=self.loop.is_dead(worker_id),
         )
-        if self._tracer is not None:
-            self._tracer.end(
+        if self.tracer is not None:
+            self.tracer.end(
                 item.sequence, item.finish_hours, "fail", fault=item.failure_kind
             )
         return self._lose_copy(item, item.finish_hours)
@@ -1199,8 +1262,8 @@ class AsyncExecutionEngine:
             t=suspected_at,
             epoch=item.epoch,
         )
-        if self._tracer is not None:
-            self._tracer.end(item.sequence, suspected_at, "suspect")
+        if self.tracer is not None:
+            self.tracer.end(item.sequence, suspected_at, "suspect")
         if self._scheduler is not None:
             # Placement stops offering the silent worker new work until its
             # stale report drains (the zombie pop restores it).
@@ -1277,8 +1340,8 @@ class AsyncExecutionEngine:
             reason=reason,
             attempt=slot.attempts,
         )
-        if self._tracer is not None:
-            self._tracer.end(
+        if self.tracer is not None:
+            self.tracer.end(
                 item.sequence, item.finish_hours, "quarantined", reason=reason
             )
         result = self._retry_or_exhaust(slot, item, item.finish_hours)
@@ -1286,6 +1349,13 @@ class AsyncExecutionEngine:
             "engine.quarantine.penalties" if slot.landed else "engine.quarantine.retries"
         )
         return result
+
+    def _stats_totals(self) -> Dict[str, float]:
+        return {
+            key: self.counters.total(key)
+            for keys in ENGINE_STATS.values()
+            for key in keys.values()
+        }
 
     def engine_stats(self) -> Optional[Dict[str, Any]]:
         """The armed fault families' counts, read from the counter table
@@ -1402,8 +1472,8 @@ class AsyncExecutionEngine:
             worker=item.vm.vm_id,
             t=cancelled_at,
         )
-        if self._tracer is not None:
-            self._tracer.end(item.sequence, cancelled_at, "cancel")
+        if self.tracer is not None:
+            self.tracer.end(item.sequence, cancelled_at, "cancel")
         self._release(item)
 
     def _live_items(self) -> List[Tuple[_Slot, WorkItem]]:
@@ -1514,19 +1584,15 @@ class AsyncExecutionEngine:
     def _pick_speculative_worker(self, item: WorkItem) -> Optional[VirtualMachine]:
         """Fastest idle worker the item's configuration has never touched.
 
-        With a task scheduler wired in, its (identically-ordered)
-        ``pick_speculative`` keeps the pick pluggable; otherwise the loop's
-        per-group idle heaps answer it in O(log n) without a fleet scan.
+        A duplicate races an already-straggling run, so raw speed dominates;
+        ties break on cluster position.  The loop's per-group idle heaps
+        answer it in O(log n) without a fleet scan, and the pick is RNG-free:
+        it fires between regular placements and must not perturb the
+        scheduler's tie-break stream.
         """
-        excluded = self._excluded_workers(item.request.config)
-        if self._scheduler is not None:
-            candidates = [
-                vm for vm in self.loop.idle_workers() if vm.vm_id not in excluded
-            ]
-            if not candidates:
-                return None
-            return self._scheduler.pick_speculative(candidates)
-        return self.loop.fastest_idle_worker(excluded)
+        return self.loop.fastest_idle_worker(
+            self._excluded_workers(item.request.config)
+        )
 
     def _submit_clone(self, slot: _Slot, item: WorkItem, vm: VirtualMachine) -> None:
         """Launch a speculative duplicate of the slot's straggling primary."""

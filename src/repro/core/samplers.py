@@ -431,10 +431,10 @@ class TunaSampler(Sampler):
         self,
         request: WorkRequest,
         new_samples: List[Sample],
-        deferred_tells: Optional[List[Tuple[Configuration, float, float]]] = None,
+        tells: List[Tuple[Configuration, float, float]],
     ) -> IterationReport:
-        """Consume a finished request; the optimizer ``tell`` is appended to
-        ``deferred_tells`` when given (wave batching) or issued inline."""
+        """Consume a finished request; its optimizer ``tell`` is appended to
+        ``tells``, the wave's batched tell."""
         config, budget = request.config, request.budget
         worker_ids = request.worker_ids
         if worker_ids:
@@ -466,11 +466,7 @@ class TunaSampler(Sampler):
 
         self.schedule.record(config, budget, agg)
         self._catalog[config] = (budget, agg)
-        cost = objective_to_cost(agg, self.objective)
-        if deferred_tells is None:
-            self.optimizer.tell(config, cost, budget=budget)
-        else:
-            deferred_tells.append((config, cost, float(budget)))
+        tells.append((config, objective_to_cost(agg, self.objective), float(budget)))
 
         # Training happens after inference so no information leaks into the
         # values reported this iteration (§6.6).
@@ -504,7 +500,7 @@ class TunaSampler(Sampler):
     def complete_work(
         self, request: WorkRequest, new_samples: List[Sample]
     ) -> IterationReport:
-        return self._complete(request, new_samples)
+        return self.complete_work_batch([(request, new_samples)])[0]
 
     def complete_work_batch(
         self, completed: List[Tuple[WorkRequest, List[Sample]]]
@@ -521,10 +517,7 @@ class TunaSampler(Sampler):
         if not completed:
             return []
         tells: List[Tuple[Configuration, float, float]] = []
-        reports = [
-            self._complete(request, samples, deferred_tells=tells)
-            for request, samples in completed
-        ]
+        reports = [self._complete(request, samples, tells) for request, samples in completed]
         self.optimizer.tell_batch(tells)
         return reports
 

@@ -263,21 +263,6 @@ class MultiFidelityTaskScheduler:
             region_usage[region] = region_usage.get(region, 0) + 1
         return chosen
 
-    def pick_speculative(self, eligible: Sequence[VirtualMachine]) -> VirtualMachine:
-        """Worker for a speculative duplicate: the fastest, ties on position.
-
-        A duplicate races an already-straggling run, so raw speed dominates
-        every other concern; ties break on cluster position.  Deliberately
-        RNG-free — straggler mitigation fires between regular placements and
-        must not perturb the scheduler's tie-break stream (that would break
-        the ``"none"``-model equivalence guarantee the moment a speculation
-        policy is merely *armed*).
-        """
-        return min(
-            eligible,
-            key=lambda vm: (-self._speed[vm.vm_id], self._index[vm.vm_id]),
-        )
-
     def _rank_fifo(self, eligible: List[VirtualMachine]) -> List[VirtualMachine]:
         """Naive round-robin: next worker in fixed order, blind to speed,
         queue depth and regions — the heterogeneity-oblivious baseline."""

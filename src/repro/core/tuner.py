@@ -21,25 +21,12 @@ import numpy as np
 
 from repro.cloud.vm import VirtualMachine
 from repro.configspace import Configuration
-from repro.core.async_engine import AsyncExecutionEngine, RetryPolicy, check_lockstep
+from repro.core.async_engine import AsyncExecutionEngine, RetryPolicy
 from repro.core.eventlog import EventLog
 from repro.core.execution import ExecutionEngine
 from repro.core.samplers import IterationReport, Sampler
-from repro.core.validation import (
-    CorruptionModel,
-    ResultValidator,
-    build_corruption_model,
-    build_validator,
-)
-from repro.faults import (
-    CrashModel,
-    FaultModel,
-    PartitionModel,
-    SpeculationPolicy,
-    build_crash_model,
-    build_fault_model,
-    build_partition_model,
-)
+from repro.core.validation import CorruptionModel, ResultValidator
+from repro.faults import CrashModel, FaultModel, PartitionModel, SpeculationPolicy
 from repro.faults.base import armed
 from repro.ml.metrics import coefficient_of_variation, relative_range
 from repro.systems.base import SystemUnderTest
@@ -85,9 +72,6 @@ class TuningResult:
                 best = min(best, value)
             trace.append(best)
         return trace
-
-    def samples_per_iteration(self) -> List[int]:
-        return [report.n_new_samples for report in self.history]
 
 
 @dataclass
@@ -206,14 +190,11 @@ class StudyInterrupted(RuntimeError):
 class _RunState:
     """Everything the driver accumulates between waves.
 
-    This is the unit of checkpointing: pickling it (together with the
-    owning :class:`TuningLoop`) captures the engine — and through it the
-    event-loop clocks, fault/crash RNG streams, in-flight item set and
-    scheduler reservations — plus the driver's own counters, so a resumed
-    run continues from the exact wave boundary the checkpoint was taken at.
+    Held on the :class:`TuningLoop` next to its engine, so one pickle of the
+    loop captures both, and a resumed run continues from the exact wave
+    boundary the checkpoint was taken at.
     """
 
-    engine: AsyncExecutionEngine
     history: List[IterationReport] = field(default_factory=list)
     hours: float = 0.0
     samples: int = 0
@@ -227,10 +208,11 @@ class _RunState:
 class TuningLoop:
     """Runs a sampler for a fixed number of iterations or wall-clock budget.
 
-    One driver runs every study: proposals go to an
-    :class:`~repro.core.async_engine.AsyncExecutionEngine` and completions
-    come back to the sampler; ``batch_size`` sets how many samples are in
-    flight at once.
+    One driver runs every study: proposals go to the loop's
+    :class:`~repro.core.async_engine.AsyncExecutionEngine` (built once, at
+    construction, as :attr:`engine`) and completions come back to the
+    sampler; ``batch_size`` sets how many samples are in flight at once.
+    A loop runs once: a second :meth:`run` raises.
 
     Parameters
     ----------
@@ -247,36 +229,22 @@ class TuningLoop:
         entering below the watermark may momentarily push the in-flight
         count above it (a hard cap would deadlock any request wider than
         the remaining window).
-    fault_model:
-        Optional runtime-variability injection for the asynchronous engine:
-        a :class:`~repro.faults.FaultModel` instance or a registry name
-        (``"none"``, ``"lognormal"``, ``"interference"``, ``"brownout"``).
-        The ``"none"`` model (and ``None``) reproduce existing trajectories
-        bit-for-bit; any *active* model requires ``batch_size >= 2``
-        (lockstep mode is the equivalence gate and stays uninjected).
-    fault_seed:
-        Master seed for a fault model built from a name (ignored when an
-        instance is passed).
-    speculation:
-        Straggler mitigation: ``True`` for the default
-        :class:`~repro.faults.SpeculationPolicy`, or a policy instance.
-        Requires ``batch_size >= 2`` (duplicates need idle workers).
-    crash_model:
-        Optional fail-stop crash injection: a
-        :class:`~repro.faults.CrashModel` instance or a registry name
-        (``"none"``, ``"transient"``, ``"node-death"``).  Same contract as
-        ``fault_model``: ``"none"`` (and ``None``) reproduce existing
-        trajectories bit-for-bit, any *active* model requires
-        ``batch_size >= 2``.
-    crash_seed:
-        Master seed for a crash model built from a name (ignored when an
-        instance is passed).
-    retry_policy:
-        :class:`~repro.core.async_engine.RetryPolicy` governing recovery of
-        failed work items (capped exponential backoff, per-slot retry
-        budget).  ``None`` means no retries: every failure immediately
-        surfaces as a crash-penalty sample.  Inert without an active crash
-        model.
+    fault_model, speculation, crash_model, retry_policy, partition_model, \
+validation, corruption_model, metrics, tracer:
+        Passed to the engine unchanged; see
+        :class:`~repro.core.async_engine.AsyncExecutionEngine`.  A model is
+        an instance (e.g. ``build_fault_model("lognormal", seed=7)``) or a
+        registry name (built with seed 0); ``"none"`` and ``None`` reproduce
+        existing trajectories bit-for-bit, and any *active* model or a
+        speculation policy requires ``batch_size >= 2`` (lockstep mode is
+        the equivalence gate and stays uninjected).  ``metrics=True`` and
+        ``tracer=True`` attach default observability recorders; an attached
+        registry also observes the sampler's scheduler and optimizer.
+    lease_timeout:
+        Liveness-lease timeout in simulated hours (the engine's
+        ``lease_timeout_hours``).  A worker silent for longer is suspected
+        and its slot re-submitted under a new epoch; ``None`` (default)
+        disables the monitor.
     event_log:
         Durable append-only JSONL write-ahead log for the study: a file
         path or an :class:`~repro.core.eventlog.EventLog` instance.  Every
@@ -290,68 +258,10 @@ class TuningLoop:
     checkpoint_every:
         Wave interval between automatic checkpoints (default 1: every wave
         boundary).
-    checkpoint_keep:
-        When set, every checkpoint is additionally hard-linked to a
-        per-wave snapshot (``<checkpoint_path>.w<wave>``) and the snapshot
-        set is pruned to the most recent ``checkpoint_keep`` files — a
-        bounded rolling history.  ``None`` (default) keeps only the single
-        stable checkpoint file.
     stop_after_waves:
         Testing/demo kill switch: raise :class:`StudyInterrupted` once this
         many waves have been processed (after the wave's checkpoint, when
         checkpointing is armed), simulating a killed tuning process.
-    metrics:
-        Observability: a :class:`~repro.obs.metrics.MetricsRegistry` (or
-        ``True`` for a default one) receiving lifecycle counters, gauges
-        and latency histograms from the event loop, engine, scheduler and
-        optimizer.  Off by default; when attached it is write-only and
-        trajectory-inert — the study's samples, placements and clocks are
-        bit-for-bit identical with or without it.
-    tracer:
-        Observability: a :class:`~repro.obs.tracing.TraceRecorder` (or
-        ``True`` for a default one) recording a span per work-item
-        lifecycle over simulated time, exportable as Chrome trace-event
-        JSON.  Same trajectory-inertness contract as ``metrics``.
-    partition_model:
-        Optional gray-failure silence injection: a
-        :class:`~repro.faults.PartitionModel` instance or a registry name
-        (``"none"``, ``"stall"``, ``"partition"``, ``"flaky"``).  Delays a
-        work item's *terminal report* instead of killing its run — the
-        worker keeps computing but goes silent, so only a liveness lease
-        (``lease_timeout``) can tell it apart from a dead one.  Same
-        contract as the fault/crash models: ``"none"`` (and ``None``)
-        reproduce existing trajectories bit-for-bit, any *active* model
-        requires ``batch_size >= 2``.
-    partition_seed:
-        Master seed for a partition model built from a name (ignored when
-        an instance is passed).
-    lease_timeout:
-        Liveness-lease timeout in simulated hours.  When set, every work
-        item carries a monotone lease epoch; a worker silent for longer
-        than the timeout is *suspected*, its slot re-submitted under a new
-        epoch through the retry path, and the stale report — the zombie —
-        deterministically rejected when it eventually arrives.  ``None``
-        (default) disables the monitor; with no active partition model an
-        armed monitor never fires and is trajectory-inert.
-    validation:
-        Result quarantine: a
-        :class:`~repro.core.validation.ResultValidator` instance, or
-        ``True`` for the default (reject NaN/Inf only).  A completed
-        sample failing validation never reaches the optimizer: it is
-        quarantined and re-measured under the slot's retry budget, then
-        surfaced as a crash-penalty sample once the budget is exhausted.
-        On finite in-domain values the gate is bit-for-bit inert.
-    corruption_model:
-        Optional garbage injection exercising the quarantine gate: a
-        :class:`~repro.core.validation.CorruptionModel` instance or a
-        registry name (``"none"``, ``"corrupt_result"``).  Corrupts a
-        seeded fraction of measured values into NaN/Inf/wild readings
-        *after* measurement, so the measurement RNG stays aligned with
-        clean runs.  ``"none"`` (and ``None``) are bit-for-bit inert; any
-        *active* model requires ``batch_size >= 2``.
-    corruption_seed:
-        Master seed for a corruption model built from a name (ignored when
-        an instance is passed).
     """
 
     #: Abort after this many *consecutive* iterations that schedule no new
@@ -370,24 +280,19 @@ class TuningLoop:
         max_samples: Optional[int] = None,
         batch_size: int = 1,
         fault_model: FaultModel | str | None = None,
-        fault_seed: Optional[int] = None,
         speculation: SpeculationPolicy | bool | None = None,
         crash_model: CrashModel | str | None = None,
-        crash_seed: Optional[int] = None,
         retry_policy: Optional[RetryPolicy] = None,
         event_log: EventLog | str | os.PathLike | None = None,
         checkpoint_path: Optional[str] = None,
         checkpoint_every: int = 1,
-        checkpoint_keep: Optional[int] = None,
         stop_after_waves: Optional[int] = None,
         metrics: "MetricsRegistry | bool | None" = None,
         tracer: "TraceRecorder | bool | None" = None,
         partition_model: PartitionModel | str | None = None,
-        partition_seed: Optional[int] = None,
         lease_timeout: Optional[float] = None,
         validation: "ResultValidator | bool | None" = None,
         corruption_model: CorruptionModel | str | None = None,
-        corruption_seed: Optional[int] = None,
     ) -> None:
         if n_iterations is None and wall_clock_hours is None and max_samples is None:
             raise ValueError(
@@ -398,68 +303,56 @@ class TuningLoop:
             raise ValueError("n_iterations must be >= 1")
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if checkpoint_every < 1:
+            raise ValueError("checkpoint_every must be >= 1")
+        if stop_after_waves is not None and stop_after_waves < 1:
+            raise ValueError("stop_after_waves must be >= 1")
         self.sampler = sampler
         self.n_iterations = n_iterations
         self.wall_clock_hours = wall_clock_hours
         self.max_samples = max_samples
         self.batch_size = batch_size
-        self.fault_model = build_fault_model(fault_model, seed=fault_seed)
-        self.speculation = speculation if speculation not in (False,) else None
-        self.crash_model = build_crash_model(crash_model, seed=crash_seed)
-        self.retry_policy = retry_policy
-        self.partition_model = build_partition_model(partition_model, seed=partition_seed)
-        self.lease_timeout = lease_timeout
-        self.validation = build_validator(validation)
-        self.corruption_model = build_corruption_model(
-            corruption_model, seed=corruption_seed
-        )
         if isinstance(event_log, (str, os.PathLike)):
             event_log = EventLog(event_log)
         self.event_log = event_log
         self.checkpoint_path = checkpoint_path
         self.checkpoint_every = checkpoint_every
-        self.checkpoint_keep = checkpoint_keep
         self.stop_after_waves = stop_after_waves
-        # Observability attachments.  ``True`` means "build me a default";
-        # note an *empty* registry is falsy, so the normalisation compares
-        # against the booleans explicitly instead of truth-testing.
-        if metrics is True:
-            from repro.obs.metrics import MetricsRegistry as _Registry
-
-            self.metrics: Optional["MetricsRegistry"] = _Registry()
-        elif metrics is False:
-            self.metrics = None
-        else:
-            self.metrics = metrics
-        if tracer is True:
-            from repro.obs.tracing import TraceRecorder as _Recorder
-
-            self.tracer: Optional["TraceRecorder"] = _Recorder()
-        elif tracer is False:
-            self.tracer = None
-        else:
-            self.tracer = tracer
-        #: Run state captured by :meth:`checkpoint` / restored by
-        #: :meth:`resume`; only non-None while a run/resume is in progress.
-        self._active_state: Optional[_RunState] = None
-        self._resume_state: Optional[_RunState] = None
-        self._probe_armed = False
-        if batch_size < 2:
-            check_lockstep(
-                (
-                    self.fault_model,
-                    self.crash_model,
-                    self.partition_model,
-                    self.corruption_model,
-                ),
-                self.speculation,
-            )
-        if checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
-        if checkpoint_keep is not None and checkpoint_keep < 1:
-            raise ValueError("checkpoint_keep must be >= 1")
-        if stop_after_waves is not None and stop_after_waves < 1:
-            raise ValueError("stop_after_waves must be >= 1")
+        scheduler = getattr(sampler, "scheduler", None)
+        self.engine = AsyncExecutionEngine(
+            sampler.execution,
+            sampler.cluster,
+            lockstep=batch_size == 1,
+            fault_model=fault_model,
+            speculation=speculation,
+            crash_model=crash_model,
+            retry_policy=retry_policy,
+            partition_model=partition_model,
+            lease_timeout_hours=lease_timeout,
+            validation=validation,
+            corruption_model=corruption_model,
+            event_log=event_log,
+            scheduler=scheduler,
+            used_workers_fn=sampler.datastore.workers_used,
+            metrics=metrics,
+            tracer=tracer,
+        )
+        if self.engine.metrics is not None:
+            # One registry observes the whole stack: placement decisions and
+            # surrogate refits land next to the engine's lifecycle counters.
+            if scheduler is not None:
+                scheduler.metrics = self.engine.metrics
+            sampler.optimizer.metrics = self.engine.metrics
+        if event_log is not None:
+            # Write-ahead logging: the datastore mirrors every landed sample
+            # into the log before recording it in memory.
+            sampler.datastore.event_log = event_log
+        self._state = _RunState()
+        #: ``"ready"`` -> ``"running"`` -> ``"finished"``; an aborted run
+        #: (``StudyInterrupted`` or an error) goes back to ``"ready"``.
+        #: :meth:`checkpoint` is valid only while running, since an aborted
+        #: run can stop mid-wave.
+        self._phase = "ready"
 
     def _should_stop(self, iteration: int, hours: float, samples: int) -> bool:
         if self.n_iterations is not None and iteration >= self.n_iterations:
@@ -483,6 +376,23 @@ class TuningLoop:
             )
         return streak
 
+    def _handle_reports(self, reports: List[IterationReport]) -> None:
+        state = self._state
+        workload = self.sampler.execution.workload
+        for report in reports:
+            report.details.setdefault("objective_unit", workload.objective.unit)
+            report.details.setdefault("higher_is_better", workload.higher_is_better)
+            state.history.append(report)
+            state.samples += report.n_new_samples
+            state.completed += 1
+            state.zero_streak = self._track_progress(report, state.zero_streak)
+            if self.engine.lockstep:
+                # Lockstep advances the whole cluster by each request's
+                # wall-clock (zero for a request that scheduled nothing).
+                state.hours += report.wall_clock_hours
+                if report.wall_clock_hours > 0:
+                    self.sampler.cluster.advance(report.wall_clock_hours)
+
     def run(self) -> TuningResult:
         """Drive the sampler through the asynchronous execution engine.
 
@@ -495,74 +405,18 @@ class TuningLoop:
         flight and uniform cluster advancement.  A loop returned by
         :meth:`resume` continues from its checkpointed wave.
         """
-        if self.event_log is not None:
-            # Write-ahead logging: the datastore mirrors every landed sample
-            # into the log before recording it in memory.
-            self.sampler.datastore.event_log = self.event_log
-        if self._resume_state is not None:
-            state, self._resume_state = self._resume_state, None
-        else:
-            state = self._start()
-        try:
-            return self._drive(state)
-        finally:
-            # The speculation/recovery probe binds the sampler to this
-            # run's engine; never leave it dangling (even on abort).
-            if self._probe_armed:
-                self.sampler.speculation_probe = None
-
-    def _start(self) -> _RunState:
-        """Build the engine and a fresh driver state for a run."""
-        engine = AsyncExecutionEngine(
-            self.sampler.execution,
-            self.sampler.cluster,
-            lockstep=self.batch_size == 1,
-            fault_model=self.fault_model,
-            speculation=self.speculation,
-            crash_model=self.crash_model,
-            retry_policy=self.retry_policy,
-            partition_model=self.partition_model,
-            lease_timeout_hours=self.lease_timeout,
-            validation=self.validation,
-            corruption_model=self.corruption_model,
-            event_log=self.event_log,
-            scheduler=getattr(self.sampler, "scheduler", None),
-            used_workers_fn=self.sampler.datastore.workers_used,
-            metrics=self.metrics,
-            tracer=self.tracer,
+        if self._phase == "finished":
+            raise RuntimeError("this loop has already run to completion")
+        engine, state = self.engine, self._state
+        # Let placement exclude workers running speculative duplicates or
+        # crash retries (their eventual result occupies an existing budget
+        # slot rather than a fresh one).
+        probe = engine.speculation is not None or (
+            armed(engine.loop.crash_model) and engine.retry_policy is not None
         )
-        if self.metrics is not None:
-            # One registry observes the whole stack: placement decisions and
-            # surrogate refits land next to the engine's lifecycle counters.
-            scheduler = getattr(self.sampler, "scheduler", None)
-            if scheduler is not None:
-                scheduler.metrics = self.metrics
-            optimizer = getattr(self.sampler, "optimizer", None)
-            if optimizer is not None:
-                optimizer.metrics = self.metrics
-        return _RunState(engine=engine)
-
-    def _handle_report(self, state: _RunState, report: IterationReport) -> None:
-        workload = self.sampler.execution.workload
-        report.details.setdefault("objective_unit", workload.objective.unit)
-        report.details.setdefault("higher_is_better", workload.higher_is_better)
-        state.history.append(report)
-        state.samples += report.n_new_samples
-        state.completed += 1
-        state.zero_streak = self._track_progress(report, state.zero_streak)
-
-    def _drive(self, state: _RunState) -> TuningResult:
-        engine = state.engine
-        if engine.speculation is not None or (
-            armed(self.crash_model) and engine.retry_policy is not None
-        ):
-            # Let placement exclude workers running speculative duplicates
-            # or crash retries (their eventual result occupies an existing
-            # budget slot rather than a fresh one).
+        if probe:
             self.sampler.speculation_probe = engine.auxiliary_workers_for
-            self._probe_armed = True
-        workload = self.sampler.execution.workload
-        self._active_state = state
+        self._phase = "running"
         try:
             while True:
                 # Fill the in-flight window.  Submission is gated on
@@ -588,8 +442,8 @@ class TuningLoop:
                     if not request.vms:
                         # Nothing to run (budget covered by reused samples):
                         # complete inline at zero wall-clock cost.
-                        self._handle_report(
-                            state, self.sampler.complete_work(request, [])
+                        self._handle_reports(
+                            self.sampler.complete_work_batch([(request, [])])
                         )
                         continue
                     state.submitted_samples += len(request.vms)
@@ -598,24 +452,13 @@ class TuningLoop:
                     break
                 # Drain one wave: every request finishing at the same
                 # simulated instant lands together and is fed back as a
-                # single batched tell, so the surrogate refits once per wave
-                # (a single completion — always the case in lockstep mode —
-                # takes the plain single-tell path).
+                # single batched tell, so the surrogate refits once per wave.
                 wave = engine.next_completed_requests()
                 if not wave:
                     # Only stale (fenced) zombie reports were left in flight;
                     # they drained without landing anything — not a wave.
                     continue
-                if len(wave) == 1:
-                    reports = [self.sampler.complete_work(*wave[0])]
-                else:
-                    reports = self.sampler.complete_work_batch(wave)
-                for report in reports:
-                    self._handle_report(state, report)
-                    if engine.lockstep:
-                        state.hours += report.wall_clock_hours
-                        if report.wall_clock_hours > 0:
-                            self.sampler.cluster.advance(report.wall_clock_hours)
+                self._handle_reports(self.sampler.complete_work_batch(wave))
                 if not engine.lockstep:
                     state.hours = engine.makespan_hours
                 state.wave_index += 1
@@ -630,13 +473,14 @@ class TuningLoop:
                 ):
                     raise StudyInterrupted(state.wave_index, self.checkpoint_path)
         finally:
-            self._active_state = None
+            self._phase = "ready"
+            # The probe binds the sampler to this loop's engine; never leave
+            # it dangling (even on abort).
+            if probe:
+                self.sampler.speculation_probe = None
 
-        if engine.lockstep:
-            wall_clock = state.hours
-        else:
-            wall_clock = engine.finalize()
-
+        self._phase = "finished"
+        wall_clock = state.hours if engine.lockstep else engine.finalize()
         if self.event_log is not None:
             self.event_log.append(
                 "finish",
@@ -644,6 +488,7 @@ class TuningLoop:
                 wall_clock_hours=wall_clock,
             )
 
+        workload = self.sampler.execution.workload
         best_config, best_value = self.sampler.best_configuration()
         return TuningResult(
             sampler_name=self.sampler.name,
@@ -662,30 +507,25 @@ class TuningLoop:
     def checkpoint(self) -> str:
         """Serialize the whole study to ``checkpoint_path`` (atomically).
 
-        The checkpoint is a single pickle of the loop *and* its live driver
-        state: one object graph, so every shared reference (engine ↔ sampler
-        ↔ cluster ↔ event log ↔ RNG streams) survives round-tripping intact.
-        PCG64 streams are stored as their state words and each fitted
-        forest as one node table (see :func:`dump_checkpoint`).  Written via
-        a temp file + :func:`os.replace`, so a kill mid-write leaves the
-        previous checkpoint untouched; the sha256 digest recorded in the
-        event log lets :meth:`resume` detect truncation/corruption.
-
-        With ``checkpoint_keep=k`` each checkpoint is additionally
-        hard-linked to a per-wave snapshot (``<path>.w<wave>``) and the
-        snapshot set pruned to the most recent ``k`` — a rolling history
-        that lets operators rewind past the latest wave boundary without
-        unbounded disk growth.  The stable ``<path>`` name always points at
-        the newest checkpoint, so :meth:`resume` is unaffected.
+        The checkpoint is a single pickle of the loop — its engine and
+        driver counters included: one object graph, so every shared
+        reference (engine ↔ sampler ↔ cluster ↔ event log ↔ RNG streams)
+        survives round-tripping intact.  PCG64 streams are stored as their
+        state words and each fitted forest as one node table (see
+        :func:`dump_checkpoint`).  Written via a temp file +
+        :func:`os.replace`, so a kill mid-write leaves the previous
+        checkpoint untouched; the sha256 digest recorded in the event log
+        lets :meth:`resume` detect truncation/corruption.  Returns the
+        checkpoint's absolute path.
         """
         if self.checkpoint_path is None:
             raise RuntimeError("no checkpoint_path configured")
-        if self._active_state is None:
+        if self._phase != "running":
             raise RuntimeError(
                 "checkpoint() is only valid while an asynchronous run is "
                 "active (it is called automatically at wave boundaries)"
             )
-        payload = dump_checkpoint({"loop": self, "state": self._active_state})
+        payload = dump_checkpoint(self)
         digest = hashlib.sha256(payload).hexdigest()
         path = os.path.abspath(self.checkpoint_path)
         tmp_path = path + ".tmp"
@@ -694,38 +534,15 @@ class TuningLoop:
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp_path, path)
-        if self.checkpoint_keep is not None:
-            snapshot = f"{path}.w{self._active_state.wave_index:08d}"
-            if os.path.exists(snapshot):
-                os.remove(snapshot)
-            os.link(path, snapshot)
-            for stale in self._snapshots(path)[: -self.checkpoint_keep]:
-                os.remove(stale)
         if self.event_log is not None:
             self.event_log.append(
                 "checkpoint",
                 path=path,
                 sha256=digest,
-                wave=self._active_state.wave_index,
-                n_samples=self._active_state.samples,
+                wave=self._state.wave_index,
+                n_samples=self._state.samples,
             )
         return path
-
-    @staticmethod
-    def _snapshots(path: str) -> List[str]:
-        """Per-wave snapshot files next to ``path``, oldest first.
-
-        Wave numbers are zero-padded to fixed width, so the lexicographic
-        sort is also the numeric (and therefore chronological) order.
-        """
-        directory = os.path.dirname(path) or "."
-        prefix = os.path.basename(path) + ".w"
-        names = [
-            name
-            for name in os.listdir(directory)
-            if name.startswith(prefix) and name[len(prefix) :].isdigit()
-        ]
-        return [os.path.join(directory, name) for name in sorted(names)]
 
     @classmethod
     def resume(cls, path: str | os.PathLike) -> "TuningLoop":
@@ -739,8 +556,7 @@ class TuningLoop:
         :meth:`run` on it reproduces the uninterrupted run's remaining
         trajectory bit-for-bit.  The ``stop_after_waves`` kill switch is
         cleared on the resumed loop (the simulated kill already happened).
-        Loading is a plain ``pickle.load``, so checkpoints written before
-        the compact encoding of :func:`dump_checkpoint` load as well.
+        Loading is a plain ``pickle.load`` of the loop.
         """
         path = os.fspath(path)
         with open(path, "rb") as fh:
@@ -751,20 +567,15 @@ class TuningLoop:
             event = EventLog.last_checkpoint(path)
             path = event["path"]
         with open(path, "rb") as fh:
-            data = pickle.load(fh)
-        loop: "TuningLoop" = data["loop"]
-        loop._resume_state = data["state"]
-        loop._active_state = None
-        loop._probe_armed = False
+            loop = pickle.load(fh)
+        if not isinstance(loop, cls):
+            raise ValueError(f"{path} does not hold a {cls.__name__} checkpoint")
+        loop._phase = "ready"
         # The simulated process kill already happened; a resumed study runs
         # to its real stopping criterion.
         loop.stop_after_waves = None
         if loop.event_log is not None:
-            loop.event_log.append(
-                "resume",
-                checkpoint=path,
-                wave=loop._resume_state.wave_index,
-            )
+            loop.event_log.append("resume", checkpoint=path, wave=loop._state.wave_index)
         return loop
 
 

@@ -145,10 +145,6 @@ class WorkerIndex:
         self.refresh(now)
         return np.nonzero(self._idle_mark)[0]
 
-    def is_idle(self, idx: int, now: float) -> bool:
-        self.refresh(now)
-        return bool(self._idle_mark[idx])
-
     def first_idle(self, now: float) -> Optional[int]:
         """Lowest-index idle live worker — the scan order's first hit.
 

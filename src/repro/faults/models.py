@@ -251,11 +251,6 @@ class BrownoutModel(FaultModel):
             state[1] += float(rng.exponential(dwell))
         return self.slowdown if state[0] else 1.0
 
-    def is_browned_out(self, worker_id: str) -> bool:
-        """Current state of a worker (before any lazy evolution)."""
-        state = self._state.get(worker_id)
-        return bool(state[0]) if state is not None else False
-
 
 class CompositeFaultModel(CompositePerturbation[FaultContext, float], FaultModel):
     """Product of several fault models (e.g. heavy tail on top of brownouts)."""

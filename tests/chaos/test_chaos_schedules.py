@@ -22,7 +22,9 @@ from repro.core import (
     RetryPolicy,
     TunaSampler,
     TuningLoop,
+    build_corruption_model,
 )
+from repro.faults import build_crash_model, build_fault_model, build_partition_model
 from repro.optimizers import RandomSearchOptimizer
 from repro.systems import PostgreSQLSystem
 from repro.workloads import TPCC
@@ -43,16 +45,14 @@ def chaos_kwargs(seed):
     """Derive a composite fault cocktail from the scenario seed."""
     rng = np.random.default_rng(seed)
     kwargs = dict(
-        fault_model="lognormal",
-        fault_seed=seed,
+        fault_model=build_fault_model("lognormal", seed=seed),
         speculation=bool(rng.random() < 0.5),
-        crash_model="transient",
-        crash_seed=seed + 1,
-        partition_model="partition" if rng.random() < 0.5 else "flaky",
-        partition_seed=seed + 2,
+        crash_model=build_crash_model("transient", seed=seed + 1),
+        partition_model=build_partition_model(
+            "partition" if rng.random() < 0.5 else "flaky", seed=seed + 2
+        ),
         lease_timeout=float(rng.uniform(0.02, 0.2)),
-        corruption_model="corrupt_result",
-        corruption_seed=seed + 3,
+        corruption_model=build_corruption_model("corrupt_result", seed=seed + 3),
         validation=True,
         retry_policy=RetryPolicy(max_retries=int(rng.integers(2, 5))),
     )

@@ -47,12 +47,10 @@ class ScanEventLoop:
     def __init__(
         self,
         cluster: Cluster,
-        lockstep: bool = False,
         fault_model: "FaultModel | str | None" = None,
         crash_model: "CrashModel | str | None" = None,
     ) -> None:
         self.cluster = cluster
-        self.lockstep = lockstep
         self.fault_model = build_fault_model(fault_model)
         self.crash_model = build_crash_model(crash_model)
         self._free_at: Dict[str, float] = {vm.vm_id: 0.0 for vm in cluster.workers}
@@ -77,10 +75,7 @@ class ScanEventLoop:
             raise ValueError("duration_hours must be positive")
         if vm.vm_id not in self._free_at:
             raise KeyError(f"worker {vm.vm_id!r} is not part of this cluster")
-        if self.lockstep:
-            start = self.now
-        else:
-            start = max(self._free_at[vm.vm_id], self.now, not_before)
+        start = max(self._free_at[vm.vm_id], self.now, not_before)
         stretch = 1.0
         if armed(self.fault_model):
             context = FaultContext(

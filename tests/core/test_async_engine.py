@@ -67,9 +67,9 @@ class FixedOptimizer(Optimizer):
 
 
 class TestClusterEventLoop:
-    def _loop(self, n_workers=3, lockstep=False):
+    def _loop(self, n_workers=3):
         cluster = Cluster(n_workers=n_workers, seed=0)
-        return cluster, ClusterEventLoop(cluster, lockstep=lockstep)
+        return cluster, ClusterEventLoop(cluster)
 
     def _request(self, cluster, vms=None, iteration=0):
         space = PostgreSQLSystem().knob_space
@@ -110,7 +110,9 @@ class TestClusterEventLoop:
         assert item.start_hours == 2.0
 
     def test_lockstep_starts_at_global_clock(self):
-        cluster, loop = self._loop(lockstep=True)
+        # The engine's lockstep precondition (nothing in flight, nothing
+        # retried) makes every submission start at the orchestrator clock.
+        cluster, loop = self._loop()
         request = self._request(cluster)
         a = loop.submit(request, cluster.workers[0], 1.0)
         loop.next_completion()

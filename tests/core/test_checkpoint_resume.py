@@ -10,6 +10,7 @@ with the offending line.
 
 import json
 import os
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +26,7 @@ from repro.core import (
     TuningLoop,
 )
 from repro.core.eventlog import config_digest, file_sha256
+from repro.faults import build_crash_model, build_fault_model
 from repro.optimizers import RandomSearchOptimizer
 from repro.systems import PostgreSQLSystem
 from repro.workloads import TPCC
@@ -46,10 +48,15 @@ def trajectory(sampler):
 
 
 LOOP_KWARGS = dict(max_samples=30, batch_size=5)
-CRASH_KWARGS = dict(
-    crash_model="transient", crash_seed=3, retry_policy=RetryPolicy()
-)
-FAULT_KWARGS = dict(fault_model="lognormal", fault_seed=7, speculation=True)
+
+
+def crash_kwargs():
+    """Built fresh per call because model instances carry RNG streams."""
+    return dict(crash_model=build_crash_model("transient", seed=3), retry_policy=RetryPolicy())
+
+
+def fault_kwargs():
+    return dict(fault_model=build_fault_model("lognormal", seed=7), speculation=True)
 
 
 def gray_kwargs():
@@ -110,18 +117,18 @@ class TestResumeEquivalence:
         assert result.n_samples == ref_result.n_samples
 
     def test_bit_for_bit_with_crash_injection(self, tmp_path):
-        ref_sampler, ref_result = run_uninterrupted(**CRASH_KWARGS)
+        ref_sampler, ref_result = run_uninterrupted(**crash_kwargs())
         loop, result, _, _ = run_killed_and_resumed(
-            tmp_path, kill_after=2, **CRASH_KWARGS
+            tmp_path, kill_after=2, **crash_kwargs()
         )
         assert trajectory(loop.sampler) == trajectory(ref_sampler)
         assert result.wall_clock_hours == ref_result.wall_clock_hours
         assert result.engine_stats == ref_result.engine_stats
 
     def test_bit_for_bit_with_faults_and_speculation(self, tmp_path):
-        ref_sampler, ref_result = run_uninterrupted(**FAULT_KWARGS)
+        ref_sampler, ref_result = run_uninterrupted(**fault_kwargs())
         loop, result, _, _ = run_killed_and_resumed(
-            tmp_path, kill_after=2, **FAULT_KWARGS
+            tmp_path, kill_after=2, **fault_kwargs()
         )
         assert trajectory(loop.sampler) == trajectory(ref_sampler)
         assert result.wall_clock_hours == ref_result.wall_clock_hours
@@ -195,6 +202,41 @@ class TestResumeEquivalence:
         )
         with pytest.raises(RuntimeError, match="asynchronous run"):
             loop.checkpoint()
+
+    def test_run_on_a_finished_loop_raises(self):
+        loop = TuningLoop(make_sampler(), **LOOP_KWARGS, **crash_kwargs())
+        result = loop.run()
+        hours = loop.sampler.cluster.clock_hours
+        with pytest.raises(RuntimeError, match="already run"):
+            loop.run()
+        # The refused run touched nothing: the cluster clock was finalised once.
+        assert loop.sampler.cluster.clock_hours == hours
+        assert result.engine_stats is not None
+        assert result.engine_stats == loop.engine.engine_stats()
+
+    def test_resume_returns_the_checkpointed_engine(self, tmp_path):
+        log = str(tmp_path / "events.jsonl")
+        killed = TuningLoop(
+            make_sampler(),
+            event_log=log,
+            checkpoint_path=str(tmp_path / "study.ckpt"),
+            stop_after_waves=2,
+            **LOOP_KWARGS,
+        )
+        with pytest.raises(StudyInterrupted):
+            killed.run()
+        # An aborted run is no longer running: it cannot be checkpointed.
+        with pytest.raises(RuntimeError, match="asynchronous run"):
+            killed.checkpoint()
+        loop = TuningLoop.resume(log)
+        # The kill fired right after wave 2's checkpoint, so the restored
+        # engine is the killed one as of that instant.
+        assert loop.engine.n_submitted_requests == killed.engine.n_submitted_requests > 0
+        assert loop.engine.loop.now == killed.engine.loop.now > 0
+        with pytest.raises(RuntimeError, match="asynchronous run"):
+            loop.checkpoint()
+        result = loop.run()
+        assert result.engine_stats == loop.engine.engine_stats()
 
     def test_default_driver_resumes_bit_for_bit(self, tmp_path):
         """Lockstep (the default ``batch_size=1``) checkpoints at its wave
@@ -387,58 +429,11 @@ class TestCheckpointIntegrity:
         with pytest.raises(EventLogError, match="no checkpoint"):
             TuningLoop.resume(path)
 
-
-class TestCheckpointRotation:
-    def _killed_study(self, tmp_path, keep, kill_after=4):
-        log = str(tmp_path / "events.jsonl")
-        ckpt = str(tmp_path / "study.ckpt")
-        with pytest.raises(StudyInterrupted):
-            TuningLoop(
-                make_sampler(),
-                event_log=log,
-                checkpoint_path=ckpt,
-                checkpoint_keep=keep,
-                stop_after_waves=kill_after,
-                **LOOP_KWARGS,
-            ).run()
-        return log, ckpt
-
-    def test_snapshots_are_pruned_to_the_newest_k(self, tmp_path):
-        log, ckpt = self._killed_study(tmp_path, keep=2, kill_after=4)
-        snapshots = TuningLoop._snapshots(os.path.abspath(ckpt))
-        assert [os.path.basename(s) for s in snapshots] == [
-            "study.ckpt.w00000003",
-            "study.ckpt.w00000004",
-        ]
-        # The stable name is a hard link to the newest snapshot.
-        assert os.path.samefile(ckpt, snapshots[-1])
-
-    def test_rotation_does_not_disturb_resume(self, tmp_path):
-        ref_sampler, _ = run_uninterrupted()
-        log, _ = self._killed_study(tmp_path, keep=2)
-        loop = TuningLoop.resume(log)
-        loop.run()
-        assert trajectory(loop.sampler) == trajectory(ref_sampler)
-
-    def test_snapshot_history_can_rewind_past_the_newest_wave(self, tmp_path):
-        """Each retained snapshot is itself a valid resume point."""
-        ref_sampler, _ = run_uninterrupted()
-        _, ckpt = self._killed_study(tmp_path, keep=3, kill_after=3)
-        older = TuningLoop._snapshots(os.path.abspath(ckpt))[0]
-        loop = TuningLoop.resume(older)
-        loop.run()
-        assert trajectory(loop.sampler) == trajectory(ref_sampler)
-
-    def test_unbounded_history_without_checkpoint_keep(self, tmp_path):
-        _, ckpt = self._killed_study(tmp_path, keep=None)
-        assert TuningLoop._snapshots(os.path.abspath(ckpt)) == []
-        assert os.path.exists(ckpt)
-
     def test_kill_between_write_and_rename_is_harmless(self, tmp_path):
         """A crash after writing ``.tmp`` but before ``os.replace`` leaves
         the previous checkpoint (and its logged digest) authoritative."""
         ref_sampler, _ = run_uninterrupted()
-        log, ckpt = self._killed_study(tmp_path, keep=2)
+        log, ckpt = self._killed_study(tmp_path)
         # Forge the aftermath of a kill mid-checkpoint: a stale temp file
         # with garbage next to the intact stable checkpoint.
         with open(ckpt + ".tmp", "wb") as fh:
@@ -446,6 +441,13 @@ class TestCheckpointRotation:
         loop = TuningLoop.resume(log)
         loop.run()
         assert trajectory(loop.sampler) == trajectory(ref_sampler)
+
+    def test_a_pickle_that_is_not_a_loop_is_rejected(self, tmp_path):
+        """Checkpoints of the older ``{"loop", "state"}`` layout do not load."""
+        path = tmp_path / "old.ckpt"
+        path.write_bytes(pickle.dumps({"loop": None, "state": None}))
+        with pytest.raises(ValueError, match="TuningLoop checkpoint"):
+            TuningLoop.resume(str(path))
 
 
 class TestDatastoreWriteAhead:

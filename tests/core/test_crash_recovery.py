@@ -27,6 +27,8 @@ from repro.faults import (
     NoCrashModel,
     SpeculationPolicy,
     FaultModel,
+    build_crash_model,
+    build_fault_model,
 )
 from repro.optimizers import RandomSearchOptimizer
 from repro.systems import PostgreSQLSystem
@@ -158,10 +160,12 @@ class TestNoneModelEquivalence:
     def test_null_crash_model_on_top_of_faults_and_speculation(self):
         """The PR 4 guarded trajectory (faults + speculation) must survive
         arming the null crash model and a retry policy unchanged."""
-        kwargs = dict(fault_model="lognormal", fault_seed=7, speculation=True)
-        base_sampler, base_result, _ = run_tuna(**kwargs)
+        def kwargs():
+            return dict(fault_model=build_fault_model("lognormal", seed=7), speculation=True)
+
+        base_sampler, base_result, _ = run_tuna(**kwargs())
         null_sampler, null_result, _ = run_tuna(
-            crash_model="none", retry_policy=RetryPolicy(), **kwargs
+            crash_model="none", retry_policy=RetryPolicy(), **kwargs()
         )
         assert sample_trajectory(base_sampler) == sample_trajectory(null_sampler)
         assert base_result.wall_clock_hours == null_result.wall_clock_hours
@@ -174,10 +178,10 @@ class TestNoneModelEquivalence:
 class TestInjectedRunsAreReproducible:
     def test_same_seed_same_trajectory(self):
         a_sampler, a_result, _ = run_tuna(
-            crash_model="transient", crash_seed=3, retry_policy=RetryPolicy()
+            crash_model=build_crash_model("transient", seed=3), retry_policy=RetryPolicy()
         )
         b_sampler, b_result, _ = run_tuna(
-            crash_model="transient", crash_seed=3, retry_policy=RetryPolicy()
+            crash_model=build_crash_model("transient", seed=3), retry_policy=RetryPolicy()
         )
         assert sample_trajectory(a_sampler) == sample_trajectory(b_sampler)
         assert a_result.wall_clock_hours == b_result.wall_clock_hours
@@ -189,16 +193,13 @@ class TestLoopValidation:
         _, cluster, execution, opt = make_setup(0)
         sampler = TunaSampler(opt, execution, cluster, seed=0)
         with pytest.raises(ValueError, match="batch_size"):
-            TuningLoop(
-                sampler, max_samples=5, crash_model="transient", crash_seed=0
-            )
+            TuningLoop(sampler, max_samples=5, crash_model="transient")
         with pytest.raises(ValueError, match="batch_size"):
             TuningLoop(
                 sampler,
                 max_samples=5,
                 batch_size=1,
                 crash_model="transient",
-                crash_seed=0,
             )
 
     def test_engine_rejects_lockstep_crash_injection(self):
@@ -448,11 +449,9 @@ class TestSpeculationCrashInterplay:
     def test_speculative_tuning_run_with_crashes_stays_consistent(self):
         sampler, result, _ = run_tuna(
             seed=7,
-            crash_model="transient",
-            crash_seed=13,
+            crash_model=build_crash_model("transient", seed=13),
             retry_policy=RetryPolicy(),
-            fault_model="lognormal",
-            fault_seed=7,
+            fault_model=build_fault_model("lognormal", seed=7),
             speculation=True,
         )
         assert result.n_samples == 40

@@ -37,6 +37,9 @@ from repro.core.validation import (
 from repro.faults import (
     PartitionDecision,
     PartitionModel,
+    build_crash_model,
+    build_fault_model,
+    build_partition_model,
 )
 from repro.obs import MetricsRegistry
 from repro.optimizers import RandomSearchOptimizer
@@ -522,15 +525,15 @@ class TestNoneModelEquivalence:
             assert vm_a.clock_hours == vm_b.clock_hours
 
     def test_inert_on_top_of_faults_speculation_and_crashes(self):
-        kwargs = dict(
-            fault_model="lognormal",
-            fault_seed=7,
-            speculation=True,
-            crash_model="transient",
-            crash_seed=13,
-        )
-        base_sampler, base_result, _ = run_tuna(**kwargs)
-        null_sampler, null_result, _ = run_tuna(**kwargs, **self.GRAY_NULL_KWARGS)
+        def kwargs():
+            return dict(
+                fault_model=build_fault_model("lognormal", seed=7),
+                speculation=True,
+                crash_model=build_crash_model("transient", seed=13),
+            )
+
+        base_sampler, base_result, _ = run_tuna(**kwargs())
+        null_sampler, null_result, _ = run_tuna(**kwargs(), **self.GRAY_NULL_KWARGS)
         assert sample_trajectory(base_sampler) == sample_trajectory(null_sampler)
         assert base_result.wall_clock_hours == null_result.wall_clock_hours
 
@@ -561,16 +564,13 @@ class TestLoopValidation:
         _, cluster, execution, opt = make_setup(0)
         sampler = TunaSampler(opt, execution, cluster, seed=0)
         with pytest.raises(ValueError, match="batch_size"):
-            TuningLoop(
-                sampler, max_samples=5, partition_model="stall", partition_seed=0
-            )
+            TuningLoop(sampler, max_samples=5, partition_model="stall")
         with pytest.raises(ValueError, match="batch_size"):
             TuningLoop(
                 sampler,
                 max_samples=5,
                 batch_size=1,
                 partition_model="stall",
-                partition_seed=0,
             )
 
     def test_active_corruption_model_requires_async_batches(self):
@@ -581,7 +581,6 @@ class TestLoopValidation:
                 sampler,
                 max_samples=5,
                 corruption_model="corrupt_result",
-                corruption_seed=0,
             )
 
     def test_lease_timeout_is_inert_on_the_default_driver(self):
@@ -598,18 +597,6 @@ class TestLoopValidation:
         assert leased_result.wall_clock_hours == plain_result.wall_clock_hours
         assert leased_result.best_config == plain_result.best_config
         assert leased_result.engine_stats["n_suspected"] == 0
-
-    def test_checkpoint_keep_validation(self):
-        _, cluster, execution, opt = make_setup(0)
-        sampler = TunaSampler(opt, execution, cluster, seed=0)
-        with pytest.raises(ValueError, match="checkpoint_keep"):
-            TuningLoop(
-                sampler,
-                max_samples=5,
-                batch_size=2,
-                checkpoint_path="x.ckpt",
-                checkpoint_keep=0,
-            )
 
 
 class TestSchedulerSuspension:
@@ -650,8 +637,7 @@ class TestSchedulerSuspension:
             seed=5,
             batch_size=5,
             max_samples=40,
-            partition_model="partition",
-            partition_seed=21,
+            partition_model=build_partition_model("partition", seed=21),
             lease_timeout=0.05,
             retry_policy=RetryPolicy(),
         )

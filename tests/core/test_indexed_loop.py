@@ -222,14 +222,6 @@ def test_indexed_loop_matches_scan_on_homogeneous_cluster():
     _drive_random_scenario(indexed, scan, seed=99, n_ops=200)
 
 
-def test_indexed_loop_matches_scan_in_lockstep_mode():
-    """The batch-size-1 gate's substrate: lockstep starts at ``now``."""
-    indexed, scan = _pair(8, 5, None, None)
-    indexed.lockstep = True
-    scan.lockstep = True
-    _drive_random_scenario(indexed, scan, seed=41, n_ops=120)
-
-
 def test_submit_to_foreign_worker_raises_keyerror():
     indexed, scan = _pair(4, 0, None, None)
     # A larger cluster's extra node: its vm_id is absent from the 4-worker

@@ -30,7 +30,11 @@ import pytest
 
 from repro.cloud import Cluster, FleetSpec
 from repro.core import EventLog, ExecutionEngine, RetryPolicy, TunaSampler, TuningLoop
-from repro.core.validation import CorruptResultModel, ResultValidator
+from repro.core.validation import (
+    CorruptResultModel,
+    ResultValidator,
+    build_corruption_model,
+)
 from repro.faults import (
     CompositePartitionModel,
     LognormalTailModel,
@@ -38,6 +42,9 @@ from repro.faults import (
     SpeculationPolicy,
     StallModel,
     TransientCrashModel,
+    build_crash_model,
+    build_fault_model,
+    build_partition_model,
 )
 from repro.optimizers import RandomSearchOptimizer, build_optimizer
 from repro.systems import PostgreSQLSystem, get_system
@@ -85,16 +92,14 @@ def chaos_kwargs(seed):
     """The composite cocktail of the chaos suite, frozen here."""
     rng = np.random.default_rng(seed)
     return dict(
-        fault_model="lognormal",
-        fault_seed=seed,
+        fault_model=build_fault_model("lognormal", seed=seed),
         speculation=bool(rng.random() < 0.5),
-        crash_model="transient",
-        crash_seed=seed + 1,
-        partition_model="partition" if rng.random() < 0.5 else "flaky",
-        partition_seed=seed + 2,
+        crash_model=build_crash_model("transient", seed=seed + 1),
+        partition_model=build_partition_model(
+            "partition" if rng.random() < 0.5 else "flaky", seed=seed + 2
+        ),
         lease_timeout=float(rng.uniform(0.02, 0.2)),
-        corruption_model="corrupt_result",
-        corruption_seed=seed + 3,
+        corruption_model=build_corruption_model("corrupt_result", seed=seed + 3),
         validation=True,
         retry_policy=RetryPolicy(max_retries=int(rng.integers(2, 5))),
     )

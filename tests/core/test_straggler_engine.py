@@ -9,7 +9,7 @@ cancelled and its worker released.
 
 import pytest
 
-from repro.cloud import Cluster
+from repro.cloud import Cluster, FleetSpec
 from repro.core import (
     AsyncExecutionEngine,
     ClusterEventLoop,
@@ -19,7 +19,7 @@ from repro.core import (
     WorkRequest,
 )
 from repro.core.async_engine import check_lockstep
-from repro.faults import FaultModel, NoFaultModel, SpeculationPolicy
+from repro.faults import FaultModel, NoFaultModel, SpeculationPolicy, build_fault_model
 from repro.optimizers import RandomSearchOptimizer
 from repro.systems import PostgreSQLSystem
 from repro.workloads import TPCC
@@ -88,24 +88,23 @@ class TestNoneModelEquivalence:
 
 class TestInjectedRunsAreReproducible:
     def test_same_seed_same_trajectory(self):
-        a_sampler, a_result, _ = run_tuna(fault_model="lognormal", fault_seed=7)
-        b_sampler, b_result, _ = run_tuna(fault_model="lognormal", fault_seed=7)
+        a_sampler, a_result, _ = run_tuna(fault_model=build_fault_model("lognormal", seed=7))
+        b_sampler, b_result, _ = run_tuna(fault_model=build_fault_model("lognormal", seed=7))
         assert sample_trajectory(a_sampler) == sample_trajectory(b_sampler)
         assert a_result.wall_clock_hours == b_result.wall_clock_hours
 
     def test_speculative_runs_are_reproducible_too(self):
-        kwargs = dict(fault_model="lognormal", fault_seed=7, speculation=True)
-        a_sampler, a_result, _ = run_tuna(**kwargs)
-        b_sampler, b_result, _ = run_tuna(**kwargs)
+        def kwargs():
+            return dict(fault_model=build_fault_model("lognormal", seed=7), speculation=True)
+
+        a_sampler, a_result, _ = run_tuna(**kwargs())
+        b_sampler, b_result, _ = run_tuna(**kwargs())
         assert sample_trajectory(a_sampler) == sample_trajectory(b_sampler)
         assert a_result.engine_stats == b_result.engine_stats
 
     def test_faults_lengthen_the_makespan(self):
         _, clean, _ = run_tuna()
-        _, faulty, _ = run_tuna(
-            fault_model="lognormal",
-            fault_seed=3,
-        )
+        _, faulty, _ = run_tuna(fault_model=build_fault_model("lognormal", seed=3))
         assert faulty.wall_clock_hours > clean.wall_clock_hours
         # Stretched requests can shift which proposals straddle the sample
         # cap, but the budget itself is still honoured.
@@ -282,6 +281,35 @@ class TestSpeculationMechanics:
         assert engine.loop.worker_free_at("worker-0") <= engine.loop.now
         assert engine.makespan_hours < 3.0 * engine.duration_hours
 
+    def test_clone_goes_to_the_fastest_idle_eligible_worker(self):
+        # Four slow workers run the originals; two fast, never-used workers
+        # sit idle.  The duplicate of worker 0's straggler must take the
+        # faster group over the slow workers that finished first, and the
+        # lower cluster index within it.
+        system = PostgreSQLSystem()
+        cluster = Cluster(
+            seed=1,
+            fleet=FleetSpec.of(
+                (("westus2", "Standard_D8s_v4", 4), ("westus2", "Standard_D16s_v5", 2))
+            ),
+        )
+        engine = AsyncExecutionEngine(
+            ExecutionEngine(system, TPCC, seed=1),
+            cluster,
+            fault_model=ScriptedStretch(stretch_at=0),
+            speculation=SpeculationPolicy(quantile=0.5, slack=1.2, min_history=3),
+        )
+        requests = self._submit_singles(engine, cluster, [0, 1, 2, 3])
+        completed = {}
+        while engine.n_in_flight_requests:
+            request, samples = engine.next_completed_request()
+            completed[id(request)] = samples
+        assert engine.engine_stats()["n_duplicates_submitted"] == 1
+        assert engine.engine_stats()["n_duplicate_wins"] == 1
+        (sample,) = completed[id(requests[0])]
+        assert sample.details.get("speculative") is True
+        assert sample.worker_id == cluster.workers[4].vm_id
+
     def test_original_win_cancels_the_clone(self):
         # Stretch mild enough that the original still finishes before the
         # clone (which only starts at the detection crossing): 2x the base
@@ -360,8 +388,7 @@ class TestSpeculationMechanics:
             sampler,
             max_samples=40,
             batch_size=6,
-            fault_model="lognormal",
-            fault_seed=23,
+            fault_model=build_fault_model("lognormal", seed=23),
             speculation=policy,
         ).run()
         stats = result.engine_stats
@@ -387,8 +414,7 @@ class TestSpeculativeTuningRun:
             seed=37,
             batch_size=8,
             max_samples=60,
-            fault_model="lognormal",
-            fault_seed=37,
+            fault_model=build_fault_model("lognormal", seed=37),
             speculation=True,
         )
         stats = result.engine_stats
@@ -411,5 +437,5 @@ class TestSpeculativeTuningRun:
         assert sampler.scheduler.n_reserved() == 0
 
     def test_stats_absent_without_speculation(self):
-        _, result, _ = run_tuna(fault_model="lognormal", fault_seed=1)
+        _, result, _ = run_tuna(fault_model=build_fault_model("lognormal", seed=1))
         assert result.engine_stats is None

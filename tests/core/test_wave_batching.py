@@ -10,8 +10,9 @@ deliver exactly one result per sample, and a wave landing exactly at
 import pytest
 
 from repro.cloud import Cluster
-from repro.core import ExecutionEngine, TunaSampler, TuningLoop
-from repro.faults import LognormalTailModel
+from repro.core import AsyncExecutionEngine, ExecutionEngine, TunaSampler, TuningLoop
+from repro.faults import LognormalTailModel, build_fault_model
+from repro.obs import MetricsRegistry
 from repro.optimizers import RandomSearchOptimizer, SMACOptimizer
 from repro.systems import PostgreSQLSystem
 from repro.workloads import TPCC
@@ -48,6 +49,38 @@ class TestEmptyWave:
         assert sampler.optimizer.data_version == version
 
 
+class TestSingletonWave:
+    """Every wave, singletons included, reaches the optimizer through one
+    ``tell_batch``: the sampler has no inline-``tell`` path left."""
+
+    def test_default_driver_tells_in_one_batch_per_wave(self):
+        registry = MetricsRegistry()
+        sampler = make_sampler(optimizer="smac")
+        result = TuningLoop(sampler, max_samples=12, metrics=registry).run()
+        counters = registry.as_dict()["counters"]
+        # Lockstep drains one request per wave: one batch of one per request.
+        assert counters["optimizer.tell_batches"] == len(result.history) > 0
+        assert counters["optimizer.tells"] == counters["optimizer.tell_batches"]
+        assert sampler.optimizer.n_observations == len(result.history)
+
+    def test_complete_work_is_the_one_element_batch(self):
+        single, batched = make_sampler(), make_sampler()
+        for sampler, complete in (
+            (single, lambda r, s: [single.complete_work(r, s)]),
+            (batched, lambda r, s: batched.complete_work_batch([(r, s)])),
+        ):
+            engine = AsyncExecutionEngine(sampler.execution, sampler.cluster)
+            for iteration in range(3):
+                request = sampler.propose_work(iteration)
+                engine.submit(request)
+                (report,) = complete(*engine.next_completed_request())
+                assert report.n_new_samples == len(request.vms)
+        assert single.optimizer.data_version == batched.optimizer.data_version == 3
+        assert [
+            (o.config, o.cost, o.budget) for o in single.optimizer.observations
+        ] == [(o.config, o.cost, o.budget) for o in batched.optimizer.observations]
+
+
 class TestWaveWithSpeculativeDuplicate:
     """A heavy-tail run with speculation armed: waves can contain a request
     whose sample came from a duplicate while the straggling original was
@@ -61,8 +94,7 @@ class TestWaveWithSpeculativeDuplicate:
             sampler,
             max_samples=45,
             batch_size=8,
-            fault_model="lognormal",
-            fault_seed=37,
+            fault_model=build_fault_model("lognormal", seed=37),
             speculation=True,
         ).run()
         self.check_one_result_per_sample(sampler, result)

@@ -18,18 +18,21 @@ from repro.core import (
     TunaSampler,
     TuningLoop,
 )
+from repro.faults import build_crash_model, build_fault_model
 from repro.obs import HostClock, MetricsRegistry, TraceRecorder
 from repro.optimizers import SMACOptimizer
 from repro.systems import PostgreSQLSystem
 from repro.workloads import TPCC
 
+#: Loop keyword arguments per arm, built fresh per study: model instances
+#: carry RNG streams.
 ARMS = {
-    "plain": {},
-    "crash-retry": dict(
-        crash_model="transient", crash_seed=3, retry_policy=RetryPolicy()
+    "plain": dict,
+    "crash-retry": lambda: dict(
+        crash_model=build_crash_model("transient", seed=3), retry_policy=RetryPolicy()
     ),
-    "faults-speculation": dict(
-        fault_model="lognormal", fault_seed=7, speculation=True
+    "faults-speculation": lambda: dict(
+        fault_model=build_fault_model("lognormal", seed=7), speculation=True
     ),
 }
 
@@ -72,9 +75,12 @@ def run_study(log_path, observed, **extra):
 
 @pytest.mark.parametrize("arm", sorted(ARMS))
 def test_observability_is_bit_for_bit_trajectory_inert(tmp_path, arm):
-    extra = ARMS[arm]
-    ref_loop, ref_sampler, ref_result = run_study(tmp_path / "ref.jsonl", False, **extra)
-    obs_loop, obs_sampler, obs_result = run_study(tmp_path / "obs.jsonl", True, **extra)
+    ref_loop, ref_sampler, ref_result = run_study(
+        tmp_path / "ref.jsonl", False, **ARMS[arm]()
+    )
+    obs_loop, obs_sampler, obs_result = run_study(
+        tmp_path / "obs.jsonl", True, **ARMS[arm]()
+    )
 
     # Samples: worker placements, values, iterations, budgets, crash flags.
     assert trajectory(obs_sampler) == trajectory(ref_sampler)
@@ -92,22 +98,22 @@ def test_observability_is_bit_for_bit_trajectory_inert(tmp_path, arm):
     assert obs_events[1:] == ref_events[1:]
 
     # And the observer actually observed: this is not a vacuous pass.
-    assert obs_loop.metrics is not None
-    assert obs_loop.metrics.counter_value("engine.items.submitted") > 0
-    assert obs_loop.metrics.counter_value("loop.items.completed") > 0
-    assert obs_loop.tracer.n_closed > 0
+    assert obs_loop.engine.metrics is not None
+    assert obs_loop.engine.metrics.counter_value("engine.items.submitted") > 0
+    assert obs_loop.engine.metrics.counter_value("loop.items.completed") > 0
+    assert obs_loop.engine.tracer.n_closed > 0
 
 
 def test_true_builds_default_instances_and_false_means_off():
     loop = TuningLoop(make_sampler(), max_samples=5, batch_size=2,
                       metrics=True, tracer=True)
-    assert isinstance(loop.metrics, MetricsRegistry)
-    assert isinstance(loop.tracer, TraceRecorder)
+    assert isinstance(loop.engine.metrics, MetricsRegistry)
+    assert isinstance(loop.engine.tracer, TraceRecorder)
     # The default registry gets the deterministic NullClock.
-    assert not loop.metrics.clock.enabled
+    assert not loop.engine.metrics.clock.enabled
     off = TuningLoop(make_sampler(), max_samples=5, batch_size=2,
                      metrics=False, tracer=False)
-    assert off.metrics is None and off.tracer is None
+    assert off.engine.metrics is None and off.engine.tracer is None
 
 
 def test_registry_is_shared_across_the_whole_stack():
@@ -136,12 +142,14 @@ def test_registry_is_shared_across_the_whole_stack():
 def test_a_registry_shared_by_two_studies_reports_each_studys_engine_stats(tmp_path):
     """The engine counts into the attached registry, which accumulates
     across studies; ``engine_stats`` still reports one study's counts."""
-    extra = dict(ARMS["crash-retry"], **ARMS["faults-speculation"])
-    _, _, ref_result = run_study(tmp_path / "ref.jsonl", False, **extra)
+    def extra():
+        return dict(ARMS["crash-retry"](), **ARMS["faults-speculation"]())
+
+    _, _, ref_result = run_study(tmp_path / "ref.jsonl", False, **extra())
     shared = MetricsRegistry()
     results = [
         TuningLoop(
-            make_sampler(), max_samples=30, batch_size=5, metrics=shared, **extra
+            make_sampler(), max_samples=30, batch_size=5, metrics=shared, **extra()
         ).run()
         for _ in range(2)
     ]
@@ -151,3 +159,20 @@ def test_a_registry_shared_by_two_studies_reports_each_studys_engine_stats(tmp_p
     assert shared.counter_value("engine.items.retried") == 2 * (
         ref_result.engine_stats["n_retries"]
     )
+
+
+def test_engine_stats_of_loops_built_before_either_runs(tmp_path):
+    """Each loop builds its engine at construction; counts another loop
+    puts into the shared registry before this one starts are not its own."""
+    _, _, ref_result = run_study(tmp_path / "ref.jsonl", False, **ARMS["crash-retry"]())
+    shared = MetricsRegistry()
+    loops = [
+        TuningLoop(
+            make_sampler(), max_samples=30, batch_size=5, metrics=shared,
+            **ARMS["crash-retry"](),
+        )
+        for _ in range(2)
+    ]
+    assert ref_result.engine_stats["n_failures"] > 0
+    for loop in loops:
+        assert loop.run().engine_stats == ref_result.engine_stats

@@ -20,6 +20,7 @@ from repro.core import (
     TunaSampler,
     TuningLoop,
 )
+from repro.faults import build_crash_model, build_fault_model
 from repro.obs import MetricsRegistry, TraceRecorder, spans_from_events
 from repro.obs.__main__ import main as obs_main
 from repro.obs.report import RunReport, report_from_log
@@ -58,11 +59,9 @@ def study(tmp_path_factory):
         sampler,
         max_samples=40,
         batch_size=5,
-        crash_model="transient",
-        crash_seed=3,
+        crash_model=build_crash_model("transient", seed=3),
         retry_policy=RetryPolicy(max_retries=2, backoff_hours=0.05),
-        fault_model="lognormal",
-        fault_seed=7,
+        fault_model=build_fault_model("lognormal", seed=7),
         speculation=True,
         event_log=log,
         metrics=registry,

@@ -28,6 +28,8 @@ ROWS = (
     "core/async_engine.py",
     "core/async_engine.py:AsyncExecutionEngine",
     "core/async_engine.py:ClusterEventLoop",
+    "core/tuner.py",
+    "core/tuner.py:TuningLoop",
     "obs/metrics.py",
     "experiments/makespan_study.py",
 )
